@@ -36,13 +36,13 @@ RES001    cross-peer call sites not covered by a RetryPolicy/deadline
 RES004    call sites through which NetworkError-family exceptions escape
           to an entry point with no coverage on the propagation path
 PERF001   ``RowLayout.resolve`` called inside a loop over rows (hoist the
-          position lookup or compile via ``repro.sqlengine.compile``)
+          position lookup or batch via ``repro.sqlengine.vectorize``)
 PERF002   per-row evaluator call inside a rows-loop of a module that
           declares vectorized kernels (batch via ``sqlengine.vectorize``)
 ARCH001   imports violating the layering contract (``sim``/``sqlengine``/
           ``baton`` depend only on ``errors``; ``analysis`` is stdlib-only)
 PURE001   effects (clock, randomness, I/O, network, shared mutation)
-          reachable from compiled evaluators / executor kernels (effects)
+          reachable from executor and vector kernels (effects)
 DET003    wall-clock / real-I/O / global-random effects reachable from
           EventQueue handlers and ``repro.sim`` callbacks (effects)
 ATOM001   bootstrap-metadata mutation paired with a network send that

@@ -1,7 +1,7 @@
 """Effect-contract rules: PURE001, DET003, ATOM001.
 
 These ride on the tier-4 inference in :mod:`repro.analysis.effects`.
-Each rule names a contract *boundary* (compiled kernels, event handlers,
+Each rule names a contract *boundary* (executor kernels, event handlers,
 the bootstrap's WAL) and checks every function inside it against the
 inferred effect signature; every finding carries the call-chain witness
 from the boundary to the offending intrinsic, plus the full signature in
@@ -135,29 +135,29 @@ def _module_has_part(module: str, *parts: str) -> bool:
 
 @register_rule
 class Pure001(_EffectContractRule):
-    """Compiled-kernel code must be pure."""
+    """Executor-kernel code must be pure."""
 
     id = "PURE001"
     severity = Severity.ERROR
     description = (
-        "code reachable from compiled evaluators / executor kernels "
+        "code reachable from executor and vector kernels "
         "must be pure (no clock, randomness, I/O, network, or shared "
         "mutation)"
     )
     categories = ("src",)
-    example_path = "proj/sqlengine/compile.py"
+    example_path = "proj/sqlengine/vectorize.py"
     rationale = (
-        "The compiled query path lowers expression trees into flat\n"
-        "closures precisely so the executor can run them millions of\n"
-        "times without re-deciding anything.  That bargain only holds if\n"
-        "a kernel is a pure function of its row: a clock read makes two\n"
+        "The vectorized query path lowers expression trees into batch\n"
+        "kernels precisely so the executor can run them over millions of\n"
+        "rows without re-deciding anything.  That bargain only holds if\n"
+        "a kernel is a pure function of its rows: a clock read makes two\n"
         "identical queries disagree, a network send hides unpriced\n"
         "traffic from the cost model, and mutation of state owned\n"
-        "outside the engine turns a scan into a side channel.  The\n"
-        "vectorized executor leans on this harder still: batch kernels\n"
-        "evaluate rows past the one whose error the reference path would\n"
-        "raise first, and defer errors to operator boundaries — which is\n"
-        "only unobservable because kernels are pure."
+        "outside the engine turns a scan into a side channel.  Batch\n"
+        "kernels also evaluate rows past the one whose error the\n"
+        "reference path would raise first, and defer errors to operator\n"
+        "boundaries — which is only unobservable because kernels are\n"
+        "pure."
     )
     example_violation = (
         "import time\n"
@@ -183,8 +183,7 @@ class Pure001(_EffectContractRule):
         for qual in sorted(inference.bases):
             module = inference.bases[qual].module
             if (
-                module.endswith("sqlengine.compile")
-                or module.endswith("sqlengine.executor")
+                module.endswith("sqlengine.executor")
                 or module.endswith("sqlengine.vectorize")
                 or module.endswith("sqlengine.vexecutor")
             ):
@@ -206,7 +205,7 @@ class Pure001(_EffectContractRule):
 
     def message(self, qual: str, effects: List[str], cause: str) -> str:
         return (
-            f"compiled-kernel function {short_qual(qual)!r} has effects "
+            f"kernel function {short_qual(qual)!r} has effects "
             f"{{{', '.join(effects)}}} ({cause}) — kernels must be pure "
             f"functions of their rows"
         )

@@ -1,15 +1,15 @@
 """Performance rules: PERF001 and PERF002 (per-row work in hot loops).
 
-Expression compilation (:mod:`repro.sqlengine.compile`) exists precisely to
+Vector compilation (:mod:`repro.sqlengine.vectorize`) exists precisely to
 hoist :meth:`RowLayout.resolve` out of per-row code: positions are looked up
-once against the layout and baked into closures.  Calling ``resolve`` inside
-a loop over rows reintroduces the dictionary lookup the compiler removed —
-an O(rows) cost that is invisible in correctness tests and silently erodes
-the measured speedups guarded by ``benchmarks/perf_baseline.json``
-(PERF001).  Vectorization (:mod:`repro.sqlengine.vectorize`) raises the bar
-again: a module that declares batch kernels has already paid for
-whole-column evaluation, so dropping back to a per-row ``evaluate()`` loop
-in that module forfeits the batch speedup one tuple at a time (PERF002).
+once against the layout and baked into batch kernels.  Calling ``resolve``
+inside a loop over rows reintroduces the dictionary lookup the compiler
+removed — an O(rows) cost that is invisible in correctness tests and
+silently erodes the measured speedups guarded by
+``benchmarks/perf_baseline.json`` (PERF001).  A module that declares batch
+kernels has already paid for whole-column evaluation, so dropping back to a
+per-row ``evaluate()`` loop in that module forfeits the batch speedup one
+tuple at a time (PERF002).
 """
 
 from __future__ import annotations
@@ -97,7 +97,7 @@ class PerRowResolveRule(Rule):
     Column positions are loop-invariant — the layout does not change while
     rows are streamed.  Resolve before the loop (bind the position to a
     local) or lower the whole expression with
-    :func:`repro.sqlengine.compile.compile_evaluator`.
+    :func:`repro.sqlengine.vectorize.compile_vector_evaluator`.
     """
 
     id = "PERF001"
@@ -124,7 +124,7 @@ class PerRowResolveRule(Rule):
                     node,
                     "layout.resolve() re-resolves a column on every row of "
                     "this loop; hoist the position lookup above the loop or "
-                    "compile the expression (repro.sqlengine.compile)",
+                    "compile the expression (repro.sqlengine.vectorize)",
                 )
 
 

@@ -1,22 +1,20 @@
 """Perf-regression microbenchmarks for the local SQL engine.
 
-Each kernel times the *same* query in all three execution modes of
+Each kernel times the *same* query in both execution modes of
 :class:`~repro.sqlengine.database.Database` — interpreted ``Expr.evaluate``
-tree-walks, the compiled closures of :mod:`repro.sqlengine.compile`, and
-the batch kernels of :mod:`repro.sqlengine.vectorize` running over
-column-major storage — and asserts the modes produce identical rows *and*
-identical :class:`~repro.sqlengine.executor.ExecStats` before any timing
-counts.  Because simulated latencies are derived purely from those
-counters, neither compilation nor vectorization can change a single figure
-in the paper reproduction; they only change how fast the figures are
-produced.
+tree-walks (the reference) and the batch kernels of
+:mod:`repro.sqlengine.vectorize` running over column-major storage — and
+asserts the modes produce identical rows *and* identical
+:class:`~repro.sqlengine.executor.ExecStats` before any timing counts.
+Because simulated latencies are derived purely from those counters,
+vectorization cannot change a single figure in the paper reproduction; it
+only changes how fast the figures are produced.
 
 The emitted ``BENCH_perf.json`` records a median-of-k wall-clock per mode
-plus speedup ratios (compiled/interpreted, vectorized/interpreted, and
-vectorized/compiled).  The CI gate compares *ratios* (measured within one
-run, on one machine) against the checked-in baseline, so the check is
-machine-independent: a kernel fails only if a mode lost a significant
-fraction of its relative advantage.
+plus the vectorized/interpreted speedup ratio.  The CI gate compares that
+*ratio* (measured within one run, on one machine) against the checked-in
+baseline, so the check is machine-independent: a kernel fails only if the
+fast path lost a significant fraction of its relative advantage.
 
 Usage::
 
@@ -48,7 +46,7 @@ DEFAULT_SCALE = 1.0
 SEED = 1729
 
 #: Timed execution modes, slowest first (ratios are relative to the first).
-MODES = ("interpreted", "compiled", "vectorized")
+MODES = ("interpreted", "vectorized")
 
 _SHIP_DATES = ("1995-01-10", "1995-03-15", "1995-06-01", "1995-09-20")
 _ORDER_DATES = ("1995-02-01", "1995-03-01", "1995-04-01", "1995-08-01")
@@ -56,21 +54,15 @@ _ORDER_DATES = ("1995-02-01", "1995-03-01", "1995-04-01", "1995-08-01")
 
 @dataclass
 class KernelResult:
-    """One kernel's measurement: all modes, their ratios, the work done."""
+    """One kernel's measurement: both modes, their ratio, the work done."""
 
     name: str
     sql: str
     rows_out: int
     interpreted_s: float
-    compiled_s: float
     vectorized_s: float
-    #: compiled over interpreted (the historical ratio name).
-    speedup: float
     #: vectorized over interpreted.
     vectorized_speedup: float
-    #: vectorized over compiled — the batch path must not lose to the
-    #: row-at-a-time compiled path on any kernel.
-    vectorized_vs_compiled: float
     stats: Dict[str, int]
 
 
@@ -176,7 +168,7 @@ def _time_once(db: Database, sql: str, mode: str) -> float:
 def _time_modes(db: Database, sql: str, repeat: int) -> Dict[str, float]:
     """Median wall-clock of ``repeat`` runs per mode, sampled interleaved.
 
-    Alternating all three modes within each round keeps slow host drift
+    Alternating the modes within each round keeps slow host drift
     (thermal throttling, background load) out of the speedup ratios.
     Untimed warm-up runs populate the per-mode plan cache first, so every
     timed run measures execution — the exact per-row and per-batch work the
@@ -214,22 +206,16 @@ def run_kernel(db: Database, name: str, sql: str, repeat: int) -> KernelResult:
     rows_out, stats = _assert_equivalent(db, sql)
     medians = _time_modes(db, sql, repeat)
     interpreted_s = medians["interpreted"]
-    compiled_s = medians["compiled"]
     vectorized_s = medians["vectorized"]
-
-    def ratio(slow: float, fast: float) -> float:
-        return slow / fast if fast > 0 else float("inf")
-
     return KernelResult(
         name=name,
         sql=sql,
         rows_out=rows_out,
         interpreted_s=interpreted_s,
-        compiled_s=compiled_s,
         vectorized_s=vectorized_s,
-        speedup=ratio(interpreted_s, compiled_s),
-        vectorized_speedup=ratio(interpreted_s, vectorized_s),
-        vectorized_vs_compiled=ratio(compiled_s, vectorized_s),
+        vectorized_speedup=(
+            interpreted_s / vectorized_s if vectorized_s > 0 else float("inf")
+        ),
         stats=stats,
     )
 
@@ -279,13 +265,11 @@ def check_against_baseline(
     """Failures (empty = pass) comparing speedup ratios with a tolerance.
 
     Ratios are measured within one run on one machine, so absolute host
-    speed cancels out; only a genuine loss of a mode's advantage fails.
-    Every ratio field present in a baseline kernel entry is checked, so a
-    baseline can gate compiled/interpreted, vectorized/interpreted, and
-    vectorized/compiled independently.
+    speed cancels out; only a genuine loss of the fast path's advantage
+    fails.  Every ratio field present in a baseline kernel entry is checked.
     """
     failures: List[str] = []
-    ratio_fields = ("speedup", "vectorized_speedup", "vectorized_vs_compiled")
+    ratio_fields = ("vectorized_speedup",)
     current_kernels = current["kernels"]
     for name, entry in baseline["kernels"].items():
         measured = current_kernels.get(name)
@@ -312,10 +296,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code (1 on regression)."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench.microbench",
-        description=(
-            "SQL-engine microbenchmarks: interpreted vs compiled vs "
-            "vectorized."
-        ),
+        description="SQL-engine microbenchmarks: interpreted vs vectorized.",
     )
     parser.add_argument("--out", help="write BENCH_perf.json here")
     parser.add_argument(
@@ -329,10 +310,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     for name, entry in payload["kernels"].items():
         print(
             f"{name:>14}: interpreted {entry['interpreted_s'] * 1e3:8.2f} ms  "
-            f"compiled {entry['compiled_s'] * 1e3:8.2f} ms  "
             f"vectorized {entry['vectorized_s'] * 1e3:8.2f} ms  "
-            f"({entry['speedup']:.2f}x / {entry['vectorized_speedup']:.2f}x "
-            f"/ vs-compiled {entry['vectorized_vs_compiled']:.2f}x, "
+            f"({entry['vectorized_speedup']:.2f}x, "
             f"{entry['rows_out']} rows)"
         )
     cache = payload["plan_cache"]

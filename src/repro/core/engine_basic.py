@@ -32,15 +32,17 @@ from repro.core.execution import EngineContext, QueryExecution, makespan
 from repro.core.indexer import PeerLookup
 from repro.core.predicates import range_constraint
 from repro.errors import PeerUnavailableError, SqlCatalogError
-from repro.hadoopdb.driver import finalize_records, merge_partial_aggregates
+from repro.hadoopdb.driver import (
+    aggregate_records,
+    finalize_records,
+    merge_partial_aggregates,
+)
 from repro.hadoopdb.sms import (
     DistributedPlan,
     SmsPlanner,
     TableLocalPlan,
     partial_aggregate_plan,
 )
-from repro.sqlengine.executor import compute_aggregates
-from repro.sqlengine.expr import RowLayout
 from repro.mapreduce.engine import records_byte_size
 from repro.sqlengine.database import Database
 from repro.sqlengine.expr import Between, BinaryOp, ColumnRef, Literal
@@ -162,29 +164,9 @@ class BasicEngine:
             rows, durations, nbytes = self._fetch_table(
                 plan.base, lookup, user, timestamp
             )
-            layout = RowLayout(plan.base.columns)
-            groups = {}
-            order = []
-            for row in rows:
-                key = tuple(
-                    expr.evaluate(row, layout) for expr in aggregate.group_exprs
-                )
-                bucket = groups.get(key)
-                if bucket is None:
-                    groups[key] = bucket = []
-                    order.append(key)
-                bucket.append(row)
-            if not groups and not aggregate.group_exprs:
-                groups[()] = []
-                order.append(())
-            records = [
-                key
-                + compute_aggregates(aggregate.aggregates, groups[key], layout)
-                for key in order
-            ]
-            columns = aggregate.group_names + [
-                call.to_sql().lower() for call in aggregate.aggregates
-            ]
+            records, columns = aggregate_records(
+                aggregate, rows, plan.base.columns
+            )
         else:
             # Pure selection (Q1): merge the owners' partial results.
             rows, durations, nbytes = self._fetch_table(

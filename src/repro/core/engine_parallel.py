@@ -14,17 +14,16 @@ trade-off the cost model (Eq. 8) prices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set
 
 from repro.core.execution import EngineContext, QueryExecution
 from repro.core.indexer import PeerLookup
 from repro.errors import BestPeerError, PeerUnavailableError
-from repro.hadoopdb.driver import finalize_records
-from repro.hadoopdb.sms import DistributedPlan, SmsPlanner
+from repro.hadoopdb.driver import aggregate_records, finalize_records
+from repro.hadoopdb.sms import SmsPlanner
 from repro.mapreduce.engine import records_byte_size
 from repro.sim.clock import parallel_duration
-from repro.sqlengine.compile import compile_predicate
-from repro.sqlengine.executor import compute_aggregates
+from repro.sqlengine.executor import interpreted_predicate
 from repro.sqlengine.expr import RowLayout
 from repro.sqlengine.parser import parse
 
@@ -111,12 +110,10 @@ class ParallelP2PEngine:
             right_position = right_layout.resolve(stage.right_key)
             out_columns = columns + stage.right.columns
             out_layout = RowLayout(out_columns)
-            # The residual predicate runs per joined row at every owner:
-            # compile it once per stage instead of tree-walking per row.
             residual = (
                 None
                 if stage.residual is None
-                else compile_predicate(stage.residual, out_layout)
+                else interpreted_predicate(stage.residual, out_layout)
             )
 
             join_durations = []
@@ -209,7 +206,9 @@ class ParallelP2PEngine:
 
         # Group-by level + every unassigned operator run at the root.
         if plan.aggregate is not None:
-            final_rows, columns = self._aggregate(plan, final_rows, columns)
+            final_rows, columns = aggregate_records(
+                plan.aggregate, final_rows, columns
+            )
         root_seconds = context.compute_model.rows_seconds(
             len(final_rows), context.query_peer.compute_units
         )
@@ -236,37 +235,6 @@ class ParallelP2PEngine:
                 for i, seconds in enumerate(level_seconds)
             },
         )
-
-    # ------------------------------------------------------------------
-    # Aggregation at the root
-    # ------------------------------------------------------------------
-    def _aggregate(
-        self, plan: DistributedPlan, rows: List[tuple], columns: List[str]
-    ) -> Tuple[List[tuple], List[str]]:
-        aggregate = plan.aggregate
-        layout = RowLayout(columns)
-        groups: Dict[tuple, List[tuple]] = {}
-        order: List[tuple] = []
-        for row in rows:
-            key = tuple(
-                expr.evaluate(row, layout) for expr in aggregate.group_exprs
-            )
-            bucket = groups.get(key)
-            if bucket is None:
-                groups[key] = bucket = []
-                order.append(key)
-            bucket.append(row)
-        if not groups and not aggregate.group_exprs:
-            groups[()] = []
-            order.append(())
-        out_rows = [
-            key + compute_aggregates(aggregate.aggregates, groups[key], layout)
-            for key in order
-        ]
-        out_columns = aggregate.group_names + [
-            call.to_sql().lower() for call in aggregate.aggregates
-        ]
-        return out_rows, out_columns
 
     def _require_online(self, peer_ids: Sequence[str]) -> None:
         for peer_id in peer_ids:

@@ -388,6 +388,36 @@ def finalize_records(plan: DistributedPlan, records, columns):
     return projected, output_names
 
 
+def aggregate_records(
+    aggregate: AggregateStage, records: Sequence[tuple], columns: Sequence[str]
+) -> Tuple[List[tuple], List[str]]:
+    """Group raw ``records`` and aggregate each group at the coordinator.
+
+    Groups come out in first-occurrence order; a scalar aggregate over no
+    records still yields one row.  Returns ``(rows, columns)`` with the
+    group columns first, then one column per aggregate call.  Shared by
+    BestPeer++'s basic engine (non-decomposable or access-restricted
+    aggregates) and the parallel engine's root aggregation.
+    """
+    layout = RowLayout(columns)
+    groups: Dict[tuple, List[tuple]] = {}
+    for row in records:
+        key = tuple(
+            expr.evaluate(row, layout) for expr in aggregate.group_exprs
+        )
+        groups.setdefault(key, []).append(row)
+    if not groups and not aggregate.group_exprs:
+        groups[()] = []
+    rows = [
+        key + compute_aggregates(aggregate.aggregates, group, layout)
+        for key, group in groups.items()
+    ]
+    out_columns = aggregate.group_names + [
+        call.to_sql().lower() for call in aggregate.aggregates
+    ]
+    return rows, out_columns
+
+
 def merge_partial_aggregates(partials, partial_rows: Sequence[tuple]) -> Tuple[object, ...]:
     """Merge map-side partial aggregate rows and finalize them.
 

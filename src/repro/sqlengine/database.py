@@ -13,13 +13,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import collections
 
 from repro.errors import SqlCatalogError, SqlExecutionError
-from repro.sqlengine.compile import (
-    compile_evaluator,
-    compile_predicate,
-    interpreted_evaluator,
-)
 from repro.sqlengine.subquery import contains_subquery, resolve_subqueries
-from repro.sqlengine.executor import ExecStats, Executor
+from repro.sqlengine.executor import (
+    ExecStats,
+    Executor,
+    interpreted_evaluator,
+    interpreted_predicate,
+)
 from repro.sqlengine.expr import RowLayout
 from repro.sqlengine.parser import (
     CreateIndexStmt,
@@ -38,8 +38,8 @@ from repro.sqlengine.table import Table
 from repro.sqlengine.types import value_byte_size
 from repro.sqlengine.vexecutor import VectorizedExecutor
 
-#: Supported expression-evaluation strategies, slowest to fastest.
-EXECUTION_MODES = ("interpreted", "compiled", "vectorized")
+#: Supported evaluation strategies: the reference, then the fast path.
+EXECUTION_MODES = ("interpreted", "vectorized")
 
 
 class QueryResult:
@@ -127,11 +127,10 @@ class Database:
     counter), so any DDL/insert/delete invalidates affected entries without
     explicit hooks.  ``execution_mode`` selects one of
     :data:`EXECUTION_MODES`: ``"interpreted"`` walks expression trees per
-    row (the reference), ``"compiled"`` runs closure-compiled evaluators per
-    row, and ``"vectorized"`` (the default) runs batch kernels over
-    column-major storage.  All three must produce identical rows, stats, and
-    errors.  ``use_compiled`` survives as a compatibility alias covering the
-    two row-at-a-time modes.
+    row (the reference) and ``"vectorized"`` (the default) runs batch
+    kernels over column-major storage.  Both must produce identical rows,
+    stats, and errors.  UPDATE and DELETE evaluate their expressions on the
+    reference path in either mode.
     """
 
     #: Default maximum number of cached plans per database.
@@ -140,23 +139,13 @@ class Database:
     def __init__(
         self,
         name: str = "db",
-        use_compiled: Optional[bool] = None,
         plan_cache_size: int = PLAN_CACHE_SIZE,
-        execution_mode: Optional[str] = None,
+        execution_mode: str = "vectorized",
         batch_size: int = VectorizedExecutor.DEFAULT_BATCH_SIZE,
     ) -> None:
         self.name = name
         self._tables: Dict[str, Table] = {}
-        if use_compiled is not None and execution_mode is not None:
-            raise SqlExecutionError(
-                "pass either use_compiled or execution_mode, not both"
-            )
-        if execution_mode is not None:
-            self.execution_mode = execution_mode
-        elif use_compiled is not None:
-            self._execution_mode = "compiled" if use_compiled else "interpreted"
-        else:
-            self._execution_mode = "vectorized"
+        self.execution_mode = execution_mode
         self._batch_size = batch_size
         self._plan_cache: "collections.OrderedDict[Tuple[str, str], Tuple[Tuple[Tuple[str, int], ...], object]]" = (
             collections.OrderedDict()
@@ -177,15 +166,6 @@ class Database:
                 f"{', '.join(EXECUTION_MODES)}"
             )
         self._execution_mode = mode
-
-    @property
-    def use_compiled(self) -> bool:
-        """Compatibility view: is any compiled evaluation strategy active?"""
-        return self._execution_mode != "interpreted"
-
-    @use_compiled.setter
-    def use_compiled(self, value: bool) -> None:
-        self._execution_mode = "compiled" if value else "interpreted"
 
     # ------------------------------------------------------------------
     # Catalogue
@@ -286,9 +266,7 @@ class Database:
                 self._tables, batch_size=self._batch_size
             ).execute(plan)
         else:
-            layout, rows, stats = Executor(
-                self._tables, use_compiled=self._execution_mode == "compiled"
-            ).execute(plan)
+            layout, rows, stats = Executor(self._tables).execute(plan)
         return QueryResult(layout.columns, rows, stats)
 
     # ------------------------------------------------------------------
@@ -410,48 +388,47 @@ class Database:
 
     def _execute_update(self, statement: UpdateStmt) -> QueryResult:
         table = self.table(statement.table)
-        layout = RowLayout(
-            [f"{table.schema.name}.{column}" for column in table.schema.column_names]
-        )
+        layout = _table_layout(table)
         assignments = [
-            (table.schema.column_index(column), self._evaluator(expr, layout))
+            (
+                table.schema.column_index(column),
+                interpreted_evaluator(expr, layout),
+            )
             for column, expr in statement.assignments
         ]
         matches = (
             None
             if statement.where is None
-            else self._predicate(statement.where, layout)
+            else interpreted_predicate(statement.where, layout)
         )
-        updated = 0
-        for row_id in list(table.row_ids()):
+        # Evaluate every new row before writing any, so an error part-way
+        # through leaves the table unchanged.
+        changes = []
+        for row_id in table.row_ids():
             row = table.row_by_id(row_id)
             if matches is not None and not matches(row):
                 continue
             values = list(row)
             for position, evaluate in assignments:
                 values[position] = evaluate(row)
-            table.update_row(row_id, values)
-            updated += 1
-        return QueryResult([], [], rowcount=updated)
-
-    def _evaluator(self, expr, layout: RowLayout):
-        if self.use_compiled:
-            return compile_evaluator(expr, layout)
-        return interpreted_evaluator(expr, layout)
-
-    def _predicate(self, expr, layout: RowLayout):
-        if self.use_compiled:
-            return compile_predicate(expr, layout)
-        return lambda row: expr.evaluate(row, layout) is True
+            changes.append((row_id, values))
+        table.update_many(changes)
+        return QueryResult([], [], rowcount=len(changes))
 
     def _execute_delete(self, statement: DeleteStmt) -> QueryResult:
         table = self.table(statement.table)
-        layout = RowLayout(
-            [f"{table.schema.name}.{column}" for column in table.schema.column_names]
-        )
         if statement.where is None:
             deleted = len(table)
             table.truncate()
         else:
-            deleted = table.delete_where(self._predicate(statement.where, layout))
+            deleted = table.delete_where(
+                interpreted_predicate(statement.where, _table_layout(table))
+            )
         return QueryResult([], [], rowcount=deleted)
+
+
+def _table_layout(table: Table) -> RowLayout:
+    """The row layout UPDATE and DELETE evaluate their expressions against."""
+    return RowLayout(
+        [f"{table.schema.name}.{column}" for column in table.schema.column_names]
+    )

@@ -12,11 +12,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import SqlExecutionError
-from repro.sqlengine.compile import (
-    compile_evaluator,
-    compile_predicate,
-    interpreted_evaluator,
-)
 from repro.sqlengine.expr import (
     ColumnRef,
     Expr,
@@ -56,31 +51,31 @@ class ExecStats:
         self.join_probe_rows += other.join_probe_rows
 
 
-class Executor:
-    """Executes plan trees against a table catalogue.
+def interpreted_evaluator(
+    expr: Expr, layout: RowLayout
+) -> Callable[[Tuple[object, ...]], object]:
+    """The reference path as an evaluator: a closure over ``Expr.evaluate``."""
+    return lambda row: expr.evaluate(row, layout)
 
-    With ``use_compiled`` (the default) every expression is lowered once
-    per plan node via :mod:`repro.sqlengine.compile`; with it off, the
-    row-at-a-time interpreted ``Expr.evaluate`` reference path runs
-    instead.  Both paths produce identical rows and identical
-    :class:`ExecStats` — the microbench and the equivalence tests assert
-    it — so simulated costs never depend on the switch.
+
+def interpreted_predicate(
+    expr: Expr, layout: RowLayout
+) -> Callable[[Tuple[object, ...]], bool]:
+    """A WHERE/ON row test: NULL (anything not ``True``) rejects the row."""
+    return lambda row: expr.evaluate(row, layout) is True
+
+
+class Executor:
+    """Executes plan trees against a table catalogue, one row at a time.
+
+    This is the reference path: every expression is interpreted per row by
+    ``Expr.evaluate``.  The vectorized executor must match it exactly —
+    rows, :class:`ExecStats` and first error — so simulated costs never
+    depend on the execution mode.
     """
 
-    def __init__(self, catalog: Dict[str, Table], use_compiled: bool = True) -> None:
+    def __init__(self, catalog: Dict[str, Table]) -> None:
         self._catalog = catalog
-        self._use_compiled = use_compiled
-
-    # Expression lowering helpers: one closure per plan node, never per row.
-    def _evaluator(self, expr: Expr, layout: RowLayout):
-        if self._use_compiled:
-            return compile_evaluator(expr, layout)
-        return interpreted_evaluator(expr, layout)
-
-    def _predicate(self, expr: Expr, layout: RowLayout):
-        if self._use_compiled:
-            return compile_predicate(expr, layout)
-        return lambda row: expr.evaluate(row, layout) is True
 
     def execute(self, plan: object, stats: Optional[ExecStats] = None):
         """Run ``plan``; returns ``(layout, rows, stats)``."""
@@ -126,7 +121,7 @@ class Executor:
             rows = list(table.rows())
             stats.rows_scanned += len(table)
         if node.predicate is not None:
-            predicate = self._predicate(node.predicate, layout)
+            predicate = interpreted_predicate(node.predicate, layout)
             rows = [row for row in rows if predicate(row)]
         return layout, rows
 
@@ -141,7 +136,7 @@ class Executor:
     # ------------------------------------------------------------------
     def _execute_filter(self, node: FilterNode, stats: ExecStats):
         layout, rows = self._execute(node.child, stats)
-        predicate = self._predicate(node.predicate, layout)
+        predicate = interpreted_predicate(node.predicate, layout)
         return layout, [row for row in rows if predicate(row)]
 
     def _execute_join(self, node: JoinNode, stats: ExecStats):
@@ -183,7 +178,7 @@ class Executor:
         condition = (
             None
             if node.condition is None
-            else self._predicate(node.condition, layout)
+            else interpreted_predicate(node.condition, layout)
         )
         results: List[Tuple[object, ...]] = []
         null_pad = (None,) * len(right_layout)
@@ -207,7 +202,7 @@ class Executor:
         condition = (
             None
             if node.condition is None
-            else self._predicate(node.condition, layout)
+            else interpreted_predicate(node.condition, layout)
         )
         results: List[Tuple[object, ...]] = []
         null_pad = (None,) * len(right_layout)
@@ -228,7 +223,7 @@ class Executor:
     # ------------------------------------------------------------------
     def _execute_group_by(self, node: GroupByNode, stats: ExecStats):
         child_layout, child_rows = self._execute(node.child, stats)
-        return group_rows_reference(node, child_layout, child_rows, self._evaluator)
+        return group_rows_reference(node, child_layout, child_rows)
 
     # ------------------------------------------------------------------
     # Project / distinct / sort / limit
@@ -249,7 +244,7 @@ class Executor:
                     evaluators.append(_position_getter(position))
                 continue
             output_names.append(item.output_name().lower())
-            evaluators.append(self._evaluator(item.expr, child_layout))
+            evaluators.append(interpreted_evaluator(item.expr, child_layout))
 
         layout = RowLayout(output_names)
         rows = [
@@ -265,12 +260,13 @@ class Executor:
 
     def _execute_sort(self, node: SortNode, stats: ExecStats):
         layout, rows = self._execute(node.child, stats)
-        # One precompiled key tuple per row (each OrderItem expression is
-        # evaluated exactly once), then stable sorts applied last-to-first
-        # exactly as before — composition of stable sorts preserves the
-        # reference ordering for mixed ASC/DESC.
+        # One key tuple per row (each OrderItem expression is evaluated
+        # exactly once), then stable sorts applied last-to-first: composing
+        # stable sorts gives the reference ordering for mixed ASC/DESC.
         items = node.order_items
-        evaluators = [self._evaluator(item.expr, layout) for item in items]
+        evaluators = [
+            interpreted_evaluator(item.expr, layout) for item in items
+        ]
         decorated = [
             (tuple(_sort_key(evaluate(row)) for evaluate in evaluators), row)
             for row in rows
@@ -336,7 +332,6 @@ def group_rows_reference(
     node: GroupByNode,
     child_layout: RowLayout,
     child_rows: Sequence[Tuple[object, ...]],
-    evaluator_factory: Callable[[Expr, RowLayout], Callable],
 ):
     """The reference row-at-a-time GROUP BY loop.
 
@@ -346,29 +341,16 @@ def group_rows_reference(
     row-visit order exactly.
     """
     layout = group_output_layout(node, child_layout)
-    key_evaluators = [
-        evaluator_factory(expr, child_layout) for expr in node.group_exprs
-    ]
-    # Precompile each aggregate's single argument, if it has one. COUNT(*)
-    # and malformed calls get None; _AggState keeps its per-row arity error
-    # for the latter, matching the reference path.
-    arg_getters = [
-        None
-        if aggregate.star or len(aggregate.args) != 1
-        else evaluator_factory(aggregate.args[0], child_layout)
-        for aggregate in node.aggregates
-    ]
 
     def make_states() -> List[_AggState]:
-        return [
-            _AggState(aggregate, arg_getter)
-            for aggregate, arg_getter in zip(node.aggregates, arg_getters)
-        ]
+        return [_AggState(aggregate) for aggregate in node.aggregates]
 
     groups: Dict[Tuple[object, ...], List[_AggState]] = {}
     group_order: List[Tuple[object, ...]] = []
     for row in child_rows:
-        key = tuple(evaluate(row) for evaluate in key_evaluators)
+        key = tuple(
+            expr.evaluate(row, child_layout) for expr in node.group_exprs
+        )
         states = groups.get(key)
         if states is None:
             states = make_states()
@@ -421,18 +403,10 @@ def compute_aggregates(
 
     Exposed for the distributed engines (BestPeer++'s MapReduce engine and
     HadoopDB's SMS-generated reducers), which aggregate outside a local
-    GroupBy plan node.  Argument expressions are compiled once per call —
-    the compiled closures are value-identical to the interpreted path.
+    GroupBy plan node.  Argument expressions are interpreted per row, the
+    same reference semantics as :class:`Executor`.
     """
-    states = [
-        _AggState(
-            aggregate,
-            None
-            if aggregate.star or len(aggregate.args) != 1
-            else compile_evaluator(aggregate.args[0], layout),
-        )
-        for aggregate in aggregates
-    ]
+    states = [_AggState(aggregate) for aggregate in aggregates]
     for row in rows:
         for state in states:
             state.accumulate(row, layout)
@@ -440,13 +414,9 @@ def compute_aggregates(
 
 
 class _AggState:
-    """Incremental state for one aggregate function.
+    """Incremental state for one aggregate function."""
 
-    ``arg_getter`` is an optional precompiled evaluator for the aggregate's
-    single argument; without it the argument is interpreted per row.
-    """
-
-    def __init__(self, call: FuncCall, arg_getter=None) -> None:
+    def __init__(self, call: FuncCall) -> None:
         self.call = call
         self.name = call.name.lower()
         self.count = 0
@@ -454,7 +424,6 @@ class _AggState:
         self.minimum: object = None
         self.maximum: object = None
         self.distinct_values: Optional[set] = set() if call.distinct else None
-        self._arg_getter = arg_getter
 
     def accumulate(self, row: Tuple[object, ...], layout: RowLayout) -> None:
         if self.call.star:
@@ -464,10 +433,7 @@ class _AggState:
             raise SqlExecutionError(
                 f"{self.call.name.upper()} takes exactly one argument"
             )
-        if self._arg_getter is not None:
-            value = self._arg_getter(row)
-        else:
-            value = self.call.args[0].evaluate(row, layout)
+        value = self.call.args[0].evaluate(row, layout)
         if value is None:
             return
         if self.distinct_values is not None:

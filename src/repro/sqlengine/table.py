@@ -184,23 +184,55 @@ class Table:
         return len(victims)
 
     def update_row(self, row_id: int, values: Sequence[object]) -> None:
-        old = self.row_by_id(row_id)
-        new = self.schema.coerce_row(values)
+        self.update_many([(row_id, values)])
+
+    def update_many(
+        self, changes: Sequence[Tuple[int, Sequence[object]]]
+    ) -> None:
+        """Rewrite rows atomically; ``changes`` pairs row ids with new values.
+
+        Every new row is coerced and unique-checked before any is written,
+        so a failure anywhere leaves the table (and ``version``) unchanged.
+        Unique keys are checked against the table as it stands after the
+        whole batch, so rows may trade keys among themselves.
+        """
+        if not changes:
+            return
+        row_ids = [row_id for row_id, _ in changes]
+        old_rows = [self.row_by_id(row_id) for row_id in row_ids]
+        new_rows = [self.schema.coerce_row(values) for _, values in changes]
+        updated = set(row_ids)
         for index in self.indexes.values():
+            if not index.unique:
+                continue
             position = self.schema.column_index(index.column)
-            if index.unique and new[position] != old[position]:
-                if new[position] is not None and index.lookup(new[position]):
+            seen = set()
+            for row in new_rows:
+                key = row[position]
+                if key is None:
+                    continue
+                if key in seen or any(
+                    holder not in updated for holder in index.lookup(key)
+                ):
                     raise SqlExecutionError(
-                        f"duplicate key {new[position]!r} for unique index "
-                        f"{index.name!r}"
+                        f"duplicate key {key!r} for unique index {index.name!r}"
                     )
+                seen.add(key)
         for index in self.indexes.values():
             position = self.schema.column_index(index.column)
-            if old[position] != new[position]:
-                index.remove(old[position], row_id)
-                index.insert(new[position], row_id)
-        self._rows[row_id] = new
-        self._byte_size += self._row_bytes(new) - self._row_bytes(old)
+            moved = [
+                (row_id, old[position], new[position])
+                for row_id, old, new in zip(row_ids, old_rows, new_rows)
+                if old[position] != new[position]
+            ]
+            # All removals first: a key one row vacates may be another's.
+            for row_id, old_key, _ in moved:
+                index.remove(old_key, row_id)
+            for row_id, _, new_key in moved:
+                index.insert(new_key, row_id)
+        for row_id, old, new in zip(row_ids, old_rows, new_rows):
+            self._rows[row_id] = new
+            self._byte_size += self._row_bytes(new) - self._row_bytes(old)
         self._drop_column_store()
         self.version += 1
 

@@ -27,7 +27,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import SqlExecutionError
-from repro.sqlengine.compile import compile_evaluator
 from repro.sqlengine.executor import (
     ExecStats,
     _sort_key,
@@ -386,9 +385,7 @@ class VectorizedExecutor:
             # exact reference exception (or, for recoverable cases the
             # fast path doesn't model, produces the reference result).
             rows = _rows_from_columns(cols, n)
-            layout, out_rows = group_rows_reference(
-                node, child_layout, rows, compile_evaluator
-            )
+            layout, out_rows = group_rows_reference(node, child_layout, rows)
             return layout, _columns_from_rows(out_rows, len(layout)), len(out_rows)
 
     def _group_by_fast(self, node: GroupByNode, child_layout, cols, n: int):

@@ -31,11 +31,8 @@ class TestHarness:
         for entry in payload["kernels"].values():
             assert entry["rows_out"] >= 0
             assert entry["interpreted_s"] > 0
-            assert entry["compiled_s"] > 0
             assert entry["vectorized_s"] > 0
-            assert entry["speedup"] > 0
             assert entry["vectorized_speedup"] > 0
-            assert entry["vectorized_vs_compiled"] > 0
             assert set(entry["stats"]) == {
                 "rows_scanned",
                 "rows_output",
@@ -72,7 +69,7 @@ class TestBaselineCheck:
         payload = small_payload()
         greedy = {
             "kernels": {
-                name: {"speedup": entry["speedup"] * 10}
+                name: {"vectorized_speedup": entry["vectorized_speedup"] * 10}
                 for name, entry in payload["kernels"].items()
             }
         }
@@ -81,22 +78,20 @@ class TestBaselineCheck:
         assert all("fell below" in failure for failure in failures)
 
     def test_fails_on_lost_vectorized_ratio(self):
-        # Every ratio field present in a baseline entry is gated, so a
-        # regression of the batch path against either reference fails even
-        # when compiled-vs-interpreted is unchanged.
+        # One regressed kernel is enough, and the failure names the field.
         payload = small_payload()
-        for field in ("vectorized_speedup", "vectorized_vs_compiled"):
-            greedy = {
-                "kernels": {
-                    "scan": {field: payload["kernels"]["scan"][field] * 10}
-                }
+        field = "vectorized_speedup"
+        greedy = {
+            "kernels": {
+                "scan": {field: payload["kernels"]["scan"][field] * 10}
             }
-            failures = check_against_baseline(payload, greedy)
-            assert failures and field in failures[0]
+        }
+        failures = check_against_baseline(payload, greedy)
+        assert len(failures) == 1 and field in failures[0]
 
     def test_fails_on_missing_kernel(self):
         payload = small_payload()
-        baseline = {"kernels": {"no_such_kernel": {"speedup": 1.0}}}
+        baseline = {"kernels": {"no_such_kernel": {"vectorized_speedup": 1.0}}}
         failures = check_against_baseline(payload, baseline)
         assert failures == ["no_such_kernel: kernel missing from current run"]
 
@@ -111,7 +106,7 @@ class TestBaselineCheck:
         # A baseline 20% above the measurement stays inside the 25% band.
         near = {
             "kernels": {
-                name: {"speedup": entry["speedup"] * 1.2}
+                name: {"vectorized_speedup": entry["vectorized_speedup"] * 1.2}
                 for name, entry in payload["kernels"].items()
             }
         }
@@ -132,7 +127,7 @@ class TestCli:
     def test_check_failure_sets_exit_code(self, tmp_path, capsys):
         baseline = tmp_path / "baseline.json"
         baseline.write_text(
-            json.dumps({"kernels": {"scan": {"speedup": 1000.0}}})
+            json.dumps({"kernels": {"scan": {"vectorized_speedup": 1000.0}}})
         )
         code = main(
             ["--scale", "0.05", "--repeat", "1", "--check", str(baseline)]

@@ -1,11 +1,11 @@
-"""Fast execution modes must be observationally identical to interpreted.
+"""The fast execution mode must be observationally identical to interpreted.
 
-The acceptance bar for expression compilation and vectorization (and the
-reason the batch path is safe to enable by default): over the full TPC-H
-benchmark suite, all three execution modes return byte-identical rows and
-identical :class:`ExecStats` — and therefore, at the network level,
-identical simulated bytes and latency.  A fast path may only change how
-fast the reproduction runs, never a figure it produces.
+The acceptance bar for vectorization (and the reason the batch path is safe
+to enable by default): over the full TPC-H benchmark suite, both execution
+modes return byte-identical rows and identical :class:`ExecStats` — and
+therefore, at the network level, identical simulated bytes and latency.  A
+fast path may only change how fast the reproduction runs, never a figure it
+produces.
 """
 
 from dataclasses import asdict

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SqlCatalogError, SqlExecutionError
-from repro.sqlengine import Database
+from repro.sqlengine import EXECUTION_MODES, Database
 
 
 @pytest.fixture
@@ -297,6 +297,34 @@ class TestMutations:
     def test_update_all_rows(self, db):
         result = db.execute("UPDATE dept SET dname = 'x'")
         assert result.rowcount == 3
+
+    @pytest.mark.parametrize("mode", EXECUTION_MODES)
+    def test_update_error_mid_statement_writes_nothing(self, mode):
+        database = Database("atomic", execution_mode=mode)
+        database.execute("CREATE TABLE t (a INTEGER, b INTEGER)")
+        database.execute("INSERT INTO t VALUES (10, 2), (20, 0), (30, 5)")
+        table = database.table("t")
+        version = table.version
+        with pytest.raises(SqlExecutionError, match="division by zero"):
+            database.execute("UPDATE t SET a = a / b")
+        # Row 1 evaluates fine before row 2 fails; it must not be written.
+        assert list(table.rows()) == [(10, 2), (20, 0), (30, 5)]
+        assert table.version == version
+
+    @pytest.mark.parametrize("mode", EXECUTION_MODES)
+    def test_update_duplicate_key_mid_statement_writes_nothing(self, mode):
+        database = Database("atomic", execution_mode=mode)
+        database.execute("CREATE TABLE u (k INTEGER)")
+        database.execute("CREATE UNIQUE INDEX idx_k ON u (k)")
+        database.execute("INSERT INTO u VALUES (1), (2), (5)")
+        table = database.table("u")
+        version = table.version
+        with pytest.raises(SqlExecutionError, match="duplicate key 5"):
+            database.execute("UPDATE u SET k = k + 3 WHERE k < 3")
+        # k=1 -> 4 is legal on its own; k=2 -> 5 collides.  Neither sticks.
+        assert list(table.rows()) == [(1,), (2,), (5,)]
+        assert table.version == version
+        assert database.execute("SELECT k FROM u WHERE k = 4").rows == []
 
     def test_delete(self, db):
         result = db.execute("DELETE FROM emp WHERE dept_id = 2")

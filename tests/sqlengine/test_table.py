@@ -151,6 +151,15 @@ class TestUpdate:
             table.update_row(row_id, [1, 2.0, "y"])
 
 
+    def test_update_many_checks_keys_after_the_whole_batch(self):
+        table = make_table()
+        first = table.insert([1, 1.0, "x"])
+        second = table.insert([2, 2.0, "y"])
+        # A swap collides row by row but is unique once both rows move.
+        table.update_many([(first, [2, 1.0, "x"]), (second, [1, 2.0, "y"])])
+        assert table.index_on("id").lookup(1) == [second]
+        assert table.index_on("id").lookup(2) == [first]
+
 class TestSecondaryIndexes:
     def test_create_index_over_existing_rows(self):
         table = make_table()

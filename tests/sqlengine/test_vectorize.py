@@ -82,6 +82,10 @@ class TestShortCircuit:
         cols = cols_of((None, 1.0, "x"))
         passing, errs = compile_vector_filter(predicate, LAYOUT)(cols, range(1))
         assert passing == [] and errs == []
+        values, errs = compile_vector_evaluator(predicate.left, LAYOUT)(
+            cols, range(1)
+        )
+        assert values == [None] and errs == []
 
     def test_null_or_true_passes(self):
         predicate = BinaryOp(
@@ -100,6 +104,10 @@ class TestCompileTimeResolution:
         cols = cols_of((1, 0.0, "red"), (2, 0.0, "green"), (3, 0.0, None))
         passing, errs = compile_vector_filter(predicate, LAYOUT)(cols, range(3))
         assert list(passing) == [0] and errs == []
+        values, errs = compile_vector_evaluator(predicate, LAYOUT)(
+            cols, range(3)
+        )
+        assert values == [True, False, None] and errs == []
 
     def test_in_list_of_literals_uses_set_semantics(self):
         predicate = InList(col("a"), (lit(1), lit(3)), False)
@@ -115,6 +123,11 @@ class TestCompileTimeResolution:
         not_in = InList(col("a"), (lit(1), lit(None)), True)
         assert compile_vector_filter(in_list, LAYOUT)(cols, range(1))[0] == []
         assert compile_vector_filter(not_in, LAYOUT)(cols, range(1))[0] == []
+        # A hit still wins over the NULL member; a miss is NULL, not false.
+        values, errs = compile_vector_evaluator(in_list, LAYOUT)(
+            cols_of((1, 0.0, "x"), (2, 0.0, "y")), range(2)
+        )
+        assert values == [True, None] and errs == []
 
 
 class TestDeferredErrors:
@@ -150,11 +163,15 @@ class TestDeferredErrors:
 
 class TestRowAdapterFallback:
     def test_unsupported_node_falls_back_per_row(self):
-        # InSubquery must be resolved by the planner; evaluating it raises
-        # per row, and the adapter defers exactly that.
-        expr = InSubquery(col("a"), object(), False)
-        values, errs = compile_vector_evaluator(expr, LAYOUT)(
-            cols_of((1, 0.0, "x")), range(1)
-        )
-        assert [row for row, _ in errs] == [0]
-        assert isinstance(errs[0][1], SqlExecutionError)
+        # InSubquery must be resolved by the planner, and a column missing
+        # from the layout cannot be lowered; evaluating either raises per
+        # row, and the adapter defers exactly the reference error.
+        row = (1, 0.0, "x")
+        for expr in (InSubquery(col("a"), object(), False), col("missing")):
+            values, errs = compile_vector_evaluator(expr, LAYOUT)(
+                cols_of(row), range(1)
+            )
+            assert [index for index, _ in errs] == [0]
+            with pytest.raises(SqlExecutionError) as reference:
+                expr.evaluate(row, LAYOUT)
+            assert str(errs[0][1]) == str(reference.value)

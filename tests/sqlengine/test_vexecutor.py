@@ -96,28 +96,13 @@ class TestExecutionModes:
         with pytest.raises(SqlExecutionError):
             db.execution_mode = "jit"
 
-    def test_mode_and_use_compiled_are_exclusive(self):
-        with pytest.raises(SqlExecutionError):
-            Database(use_compiled=True, execution_mode="vectorized")
-
-    def test_use_compiled_compatibility_mapping(self):
-        assert Database(use_compiled=True).execution_mode == "compiled"
-        assert Database(use_compiled=False).execution_mode == "interpreted"
-        db = Database()
-        db.use_compiled = False
-        assert db.execution_mode == "interpreted"
-        assert not db.use_compiled
-        db.use_compiled = True
-        assert db.execution_mode == "compiled"
-        assert db.use_compiled
-
     def test_plan_cache_keys_include_the_mode(self):
         db = build("vectorized")
         sql = "SELECT id FROM t WHERE val > 40"
         db.execute(sql)
         db.execute(sql)
         assert db.plan_cache_hits == 1
-        db.execution_mode = "compiled"
+        db.execution_mode = "interpreted"
         db.execute(sql)  # same SQL, different mode: a fresh miss
         assert db.plan_cache_misses >= 2
         db.execute(sql)
