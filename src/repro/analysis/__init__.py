@@ -35,6 +35,7 @@ RES001    cross-peer call sites not covered by a RetryPolicy/deadline
           context from ``repro.core.resilience``
 RES004    call sites through which NetworkError-family exceptions escape
           to an entry point with no coverage on the propagation path
+          (effects)
 PERF001   ``RowLayout.resolve`` called inside a loop over rows (hoist the
           position lookup or batch via ``repro.sqlengine.vectorize``)
 PERF002   per-row evaluator call inside a rows-loop of a module that
@@ -53,7 +54,11 @@ The ``effects`` rows run on the fourth tier — interprocedural effect
 inference (:mod:`repro.analysis.effects`), which assigns every function a
 ``{wallclock, global_random, real_io, network_send, mutates, raises}``
 signature by SCC fixpoint over the call graph; query it directly with
-``python -m repro.analysis effects --who-touches clock``.
+``python -m repro.analysis effects --who-touches clock``.  RES004 solves
+its escape question over the same per-function effect bases.  Every
+interprocedural propagation — the effect and escape fixpoints, witness
+chains, the value-flow taint search and the graph's reachability queries
+— runs on one core, :mod:`repro.analysis.fixpoint`.
 
 Usage::
 

@@ -16,19 +16,18 @@ spec-independent — pure def-use edges between abstract value nodes — so it
 is cached per module next to the pickled AST (same content-hash key,
 different tag) and reused byte-for-byte across runs and rules.
 
-**Phase B — interprocedural taint** (:class:`TaintEngine`).  A breadth-
-first search over global ``(function, node)`` pairs, stitched through the
-:class:`~repro.analysis.projectgraph.ProjectGraph`: at a *precisely*
-resolved call site, argument nodes splice into the callee's parameters and
-the callee's return node feeds the caller's call-result node; at ambiguous
-or library calls, taint flows conservatively through (arguments to
-result) — unless the callee is a declared *sanitizer*, which cuts the flow
-entirely.  ``self.attr`` cells of one method link to the same attribute's
-cells in every other method of the class.  Sources, sinks, sanitizers and
-guards are declarative (:class:`TaintSpec`); a finding is emitted only when
-tainted data reaches a sink argument with no guard *must-executed* before
-the sink in its function and no guard reachable (precise edges only) from
-the lexical scope chain of either endpoint — the same closure idiom SEC001
+**Phase B — interprocedural taint** (:class:`TaintEngine`).  The core
+:func:`~repro.analysis.fixpoint.bfs` over global ``(function, node)`` pairs,
+stitched through the project graph: at a *precisely* resolved call site,
+argument nodes splice into the callee's parameters and the callee's return
+node feeds the caller's call-result node; at ambiguous or library calls,
+taint flows through (arguments to result) — unless the callee is a declared
+*sanitizer*, which cuts the flow entirely.  ``self.attr`` cells link across
+the methods of a class.  Sources, sinks, sanitizers and guards are
+declarative (:class:`TaintSpec`); a finding is emitted only when tainted
+data reaches a sink argument with no guard *must-executed* before the sink
+in its function and no guard reachable (precise edges only) from the
+lexical scope chain of either endpoint — the same closure idiom SEC001
 honors.  Every finding carries the actual source-to-sink hop list.
 
 Everything iterates in sorted order; two runs over the same tree produce
@@ -51,6 +50,7 @@ from typing import (
     Tuple,
 )
 
+from repro.analysis.fixpoint import Parents, bfs, path_to
 from repro.analysis.projectgraph import MODULE_SCOPE, CallSite, ProjectGraph
 
 #: Bump when the summary format changes; part of the flow-cache tag.
@@ -928,22 +928,10 @@ class TaintEngine:
         return f"return value of {flow.name}"
 
     def _trace(
-        self,
-        gnode: GlobalNode,
-        preds: Dict[GlobalNode, GlobalNode],
-        origin_desc: str,
+        self, gnode: GlobalNode, preds: Parents, origin_desc: str
     ) -> Tuple[Tuple[str, int, str], ...]:
-        chain: List[GlobalNode] = [gnode]
-        seen = {gnode}
-        while chain[-1] in preds:
-            prev = preds[chain[-1]]
-            if prev in seen:
-                break
-            seen.add(prev)
-            chain.append(prev)
-        chain.reverse()
         hops: List[Tuple[str, int, str]] = []
-        for i, hop in enumerate(chain):
+        for i, (hop, _) in enumerate(path_to(preds, gnode)):
             path, lineno = self._node_location(hop)
             note = self._node_note(hop)
             if i == 0:
@@ -1041,30 +1029,23 @@ class TaintEngine:
         hits: List[TaintHit] = []
         emitted: Set[Tuple] = set()
         for seed, source, origin_desc in self._seeds(spec):
-            origin_qual = seed[0]
-            preds: Dict[GlobalNode, GlobalNode] = {}
-            visited: Set[GlobalNode] = {seed}
-            frontier: List[GlobalNode] = [seed]
-            while frontier:
-                next_frontier: List[GlobalNode] = []
-                for gnode in frontier:
-                    if gnode[0] != "~cell":
-                        qual, node = gnode
-                        if node[0] == "arg":
-                            flow = self.flows[qual]
-                            call = flow.calls.get((node[1], node[2]))
-                            if call is not None:
-                                self._check_sink(
-                                    spec, source, qual, node, call,
-                                    origin_qual, origin_desc,
-                                    guards_reaching, preds, emitted, hits,
-                                )
-                    for succ in self._expand(gnode, spec):
-                        if succ not in visited:
-                            visited.add(succ)
-                            preds[succ] = gnode
-                            next_frontier.append(succ)
-                frontier = next_frontier
+            # Global nodes do not sort, so levels keep discovery order and
+            # ``preds`` iterates in visit order.
+            preds, _ = bfs(
+                [seed],
+                lambda gnode: ((s, None) for s in self._expand(gnode, spec)),
+                ordered=False,
+            )
+            for gnode in preds:
+                if gnode[0] == "~cell" or gnode[1][0] != "arg":
+                    continue
+                qual, node = gnode
+                call = self.flows[qual].calls.get((node[1], node[2]))
+                if call is not None:
+                    self._check_sink(
+                        spec, source, qual, node, call, seed[0],
+                        origin_desc, guards_reaching, preds, emitted, hits,
+                    )
         hits.sort(
             key=lambda h: (
                 h.sink_module, h.sink_call.lineno, h.sink_call.col,
@@ -1083,7 +1064,7 @@ class TaintEngine:
         origin_qual: str,
         origin_desc: str,
         guards_reaching: Set[str],
-        preds: Dict[GlobalNode, GlobalNode],
+        preds: Parents,
         emitted: Set[Tuple],
         hits: List[TaintHit],
     ) -> None:

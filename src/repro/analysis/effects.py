@@ -1,10 +1,10 @@
 """Tier 4: interprocedural effect inference over the project call graph.
 
 The first three tiers answer "what does this line do", "who calls whom",
-and "where does this value go".  This tier answers the question the next
-two ROADMAP tentpoles (the discrete-event simulator kernel and the
-columnar/compiled query kernels) actually need: *what is this function
-allowed to do at all*.  Every function gets an inferred effect signature
+and "where does this value go".  This tier answers the question the
+simulator's event handlers and the executor and vector kernels need:
+*what is this function allowed to do at all*.  Every function gets an
+inferred effect signature
 
     {wallclock, global_random, real_io, network_send,
      mutates(owner class, ...), raises(exception, ...)}
@@ -13,7 +13,8 @@ seeded from intrinsic tables (``time.monotonic``, ``random.shuffle``,
 ``open``, ``sock.sendall``, ``network.transfer``, attribute writes, raise
 statements) and propagated bottom-up over the strongly-connected
 components of the :class:`~repro.analysis.projectgraph.ProjectGraph`
-call graph until a fixpoint.
+call graph until a fixpoint (:func:`repro.analysis.fixpoint.solve`);
+witnesses are shortest call chains (:func:`repro.analysis.fixpoint.bfs`).
 
 Edge discipline — the part that keeps the lattice honest:
 
@@ -40,8 +41,10 @@ everything).  All other atoms propagate unconditionally.
 Like the dataflow tier, only the *local* per-module extraction
 (:class:`EffectBase`) is cached — under :data:`EFFECT_TAG`, beside the
 pickled ASTs — because the fixpoint is whole-program and cheap, while
-parsing and walking are per-module and dominated by I/O.  Everything is
-deterministic: modules, functions, edges, SCCs and witness searches all
+parsing and walking are per-module and dominated by I/O.  RES004 reads
+the same bases (handler contexts and ``raise`` sites), so a change to
+:class:`EffectBase`'s fields must bump :data:`EFFECT_VERSION`.  Everything
+is deterministic: modules, functions, edges, SCCs and witness searches all
 iterate in sorted order, and causes are computed only after convergence.
 """
 
@@ -55,7 +58,9 @@ from typing import (
     Dict,
     FrozenSet,
     Iterable,
+    Iterator,
     List,
+    Mapping,
     Optional,
     Sequence,
     Set,
@@ -63,6 +68,7 @@ from typing import (
 )
 
 from repro.analysis.asthelpers import ImportMap
+from repro.analysis.fixpoint import bfs, path_to, solve
 from repro.analysis.projectgraph import MODULE_SCOPE, ProjectGraph
 
 #: Bump when the extraction format changes; part of the effect-cache tag.
@@ -104,6 +110,27 @@ def mutates(owner: str) -> Atom:
 def raises(name: str) -> Atom:
     """The may-raise atom for exception class ``name``."""
     return ("raises", name)
+
+
+def catches(
+    exc: str,
+    caught: FrozenSet[str],
+    class_bases: Mapping[str, FrozenSet[str]],
+) -> bool:
+    """Whether handlers for the names in ``caught`` catch exception class
+    ``exc``: a bare ``except`` (recorded as ``BaseException``) or ``except
+    Exception`` swallows everything; otherwise some class on ``exc``'s
+    name-wise base chain must be named."""
+    if not caught:
+        return False
+    if "BaseException" in caught or "Exception" in caught:
+        return True
+    _, found = bfs(
+        [exc],
+        lambda name: ((base, None) for base in class_bases.get(name, ())),
+        goal=caught.__contains__,
+    )
+    return found is not None
 
 
 def owner_class(owner: str) -> str:
@@ -328,22 +355,23 @@ class _Extraction:
             annotations=annotations,
             globals_declared=set(),
         )
-        self._visit_block(body, state, direct_cls=None, caught=frozenset())
+        self._visit_block(body, state, cls_path=None, caught=frozenset())
 
     def _child_qual(
-        self, funcname: str, scope: str, direct_cls: Optional[str]
+        self, funcname: str, scope: str, cls_path: Optional[str]
     ) -> str:
-        if direct_cls is not None:
-            return f"{self.module}:{direct_cls}.{funcname}"
+        # ``cls_path``: the dotted class bodies we are lexically inside
+        # (``Outer.Inner``), part of the qualname as in ProjectGraph.
+        name = funcname if cls_path is None else f"{cls_path}.{funcname}"
         if scope.endswith(f":{MODULE_SCOPE}"):
-            return f"{self.module}:{funcname}"
-        return f"{scope}.{funcname}"
+            return f"{self.module}:{name}"
+        return f"{scope}.{name}"
 
     def _enter_def(
         self,
         funcdef: ast.AST,
         state: "_ScopeState",
-        direct_cls: Optional[str],
+        cls_path: Optional[str],
         caught: FrozenSet[str],
     ) -> None:
         # Decorators, defaults and annotations evaluate at def time, in
@@ -356,11 +384,11 @@ class _Extraction:
         qual = self._child_qual(
             funcdef.name,  # type: ignore[attr-defined]
             state.base.qualname,
-            direct_cls,
+            cls_path,
         )
         params = [a.arg for a in args.posonlyargs + args.args]
-        cls = direct_cls
-        method_cls = direct_cls if direct_cls is not None else state.method_cls
+        cls = None if cls_path is None else cls_path.rsplit(".", 1)[-1]
+        method_cls = cls if cls is not None else state.method_cls
         self_name = params[0] if cls is not None and params else None
         annotations: Dict[str, str] = {}
         for arg in args.posonlyargs + args.args + args.kwonlyargs:
@@ -400,21 +428,21 @@ class _Extraction:
         self,
         stmts: Sequence[ast.stmt],
         state: "_ScopeState",
-        direct_cls: Optional[str],
+        cls_path: Optional[str],
         caught: FrozenSet[str],
     ) -> None:
         for stmt in stmts:
-            self._visit_stmt(stmt, state, direct_cls, caught)
+            self._visit_stmt(stmt, state, cls_path, caught)
 
     def _visit_stmt(
         self,
         stmt: ast.stmt,
         state: "_ScopeState",
-        direct_cls: Optional[str],
+        cls_path: Optional[str],
         caught: FrozenSet[str],
     ) -> None:
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            self._enter_def(stmt, state, direct_cls, caught)
+            self._enter_def(stmt, state, cls_path, caught)
             return
         if isinstance(stmt, ast.ClassDef):
             for expr in list(stmt.decorator_list) + list(stmt.bases) + [
@@ -422,7 +450,10 @@ class _Extraction:
             ]:
                 self._visit_expr(expr, state, caught)
             # Class bodies execute at definition time in this scope.
-            self._visit_block(stmt.body, state, stmt.name, caught)
+            inner = (
+                stmt.name if cls_path is None else f"{cls_path}.{stmt.name}"
+            )
+            self._visit_block(stmt.body, state, inner, caught)
             return
         if isinstance(stmt, ast.Try) or (
             hasattr(ast, "TryStar") and isinstance(stmt, ast.TryStar)
@@ -430,39 +461,39 @@ class _Extraction:
             names: Set[str] = set()
             for handler in stmt.handlers:
                 names |= self._handler_names(handler)
-            self._visit_block(stmt.body, state, direct_cls, caught | names)
+            self._visit_block(stmt.body, state, cls_path, caught | names)
             for handler in stmt.handlers:
-                self._visit_block(handler.body, state, direct_cls, caught)
-            self._visit_block(stmt.orelse, state, direct_cls, caught)
-            self._visit_block(stmt.finalbody, state, direct_cls, caught)
+                self._visit_block(handler.body, state, cls_path, caught)
+            self._visit_block(stmt.orelse, state, cls_path, caught)
+            self._visit_block(stmt.finalbody, state, cls_path, caught)
             return
         if isinstance(stmt, ast.If):
             self._visit_expr(stmt.test, state, caught)
-            self._visit_block(stmt.body, state, direct_cls, caught)
-            self._visit_block(stmt.orelse, state, direct_cls, caught)
+            self._visit_block(stmt.body, state, cls_path, caught)
+            self._visit_block(stmt.orelse, state, cls_path, caught)
             return
         if isinstance(stmt, ast.While):
             self._visit_expr(stmt.test, state, caught)
-            self._visit_block(stmt.body, state, direct_cls, caught)
-            self._visit_block(stmt.orelse, state, direct_cls, caught)
+            self._visit_block(stmt.body, state, cls_path, caught)
+            self._visit_block(stmt.orelse, state, cls_path, caught)
             return
         if isinstance(stmt, (ast.For, ast.AsyncFor)):
             self._visit_expr(stmt.iter, state, caught)
             self._record_target_mutation(stmt.target, state, stmt)
-            self._visit_block(stmt.body, state, direct_cls, caught)
-            self._visit_block(stmt.orelse, state, direct_cls, caught)
+            self._visit_block(stmt.body, state, cls_path, caught)
+            self._visit_block(stmt.orelse, state, cls_path, caught)
             return
         if isinstance(stmt, (ast.With, ast.AsyncWith)):
             for item in stmt.items:
                 self._visit_expr(item.context_expr, state, caught)
-            self._visit_block(stmt.body, state, direct_cls, caught)
+            self._visit_block(stmt.body, state, cls_path, caught)
             return
         if hasattr(ast, "Match") and isinstance(stmt, ast.Match):
             self._visit_expr(stmt.subject, state, caught)
             for case in stmt.cases:
                 if case.guard is not None:
                     self._visit_expr(case.guard, state, caught)
-                self._visit_block(case.body, state, direct_cls, caught)
+                self._visit_block(case.body, state, cls_path, caught)
             return
         if isinstance(stmt, ast.Global):
             state.globals_declared.update(stmt.names)
@@ -988,108 +1019,28 @@ class EffectInference:
 
     # -- fixpoint ------------------------------------------------------
 
-    def _sccs(self) -> List[List[str]]:
-        """Tarjan's algorithm, iterative, deterministic; components come
-        out callees-first (reverse topological order of the condensation),
-        which is exactly the order a bottom-up pass wants."""
-        index: Dict[str, int] = {}
-        low: Dict[str, int] = {}
-        on_stack: Set[str] = set()
-        stack: List[str] = []
-        sccs: List[List[str]] = []
-        counter = [0]
-        succ = {
-            q: [e.callee for e in self.calls.get(q, ())] for q in self.bases
-        }
-
-        for root in sorted(self.bases):
-            if root in index:
-                continue
-            work: List[Tuple[str, int]] = [(root, 0)]
-            while work:
-                node, child_i = work.pop()
-                if child_i == 0:
-                    index[node] = low[node] = counter[0]
-                    counter[0] += 1
-                    stack.append(node)
-                    on_stack.add(node)
-                recurse = False
-                children = succ[node]
-                for i in range(child_i, len(children)):
-                    child = children[i]
-                    if child not in index:
-                        work.append((node, i + 1))
-                        work.append((child, 0))
-                        recurse = True
-                        break
-                    if child in on_stack:
-                        low[node] = min(low[node], index[child])
-                if recurse:
-                    continue
-                if low[node] == index[node]:
-                    comp: List[str] = []
-                    while True:
-                        top = stack.pop()
-                        on_stack.discard(top)
-                        comp.append(top)
-                        if top == node:
-                            break
-                    sccs.append(sorted(comp))
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[node])
-        return sccs
-
-    def _local_atoms(self, qual: str) -> Set[Atom]:
-        atoms: Set[Atom] = set()
-        for site in self.bases[qual].intrinsics:
-            if site.atom[0] == "raises" and self._covered(
-                site.atom[1], site.caught
-            ):
-                continue
-            atoms.add(site.atom)
-        return atoms
-
-    def _covered(self, exc: str, caught: FrozenSet[str]) -> bool:
-        if not caught:
-            return False
-        if "BaseException" in caught or "Exception" in caught:
-            return True
-        seen = {exc}
-        frontier = [exc]
-        while frontier:
-            name = frontier.pop()
-            if name in caught:
-                return True
-            for base in sorted(self.class_bases.get(name, ())):
-                if base not in seen:
-                    seen.add(base)
-                    frontier.append(base)
-        return False
+    def _escapes(self, caught: FrozenSet[str], atom: Atom) -> bool:
+        """Whether ``atom`` leaves handlers for the names in ``caught``;
+        only ``raises`` atoms can be caught."""
+        return atom[0] != "raises" or not catches(
+            atom[1], caught, self.class_bases
+        )
 
     def _infer(self) -> None:
-        for comp in self._sccs():
-            comp_set = set(comp)
-            trivial = len(comp) == 1 and all(
-                e.callee not in comp_set for e in self.calls.get(comp[0], ())
-            )
-            while True:
-                changed = False
-                for qual in comp:
-                    atoms = self._local_atoms(qual)
-                    for edge in self.calls.get(qual, ()):
-                        for atom in self.atoms.get(edge.callee, ()):
-                            if atom[0] == "raises" and self._covered(
-                                atom[1], edge.caught
-                            ):
-                                continue
-                            atoms.add(atom)
-                    frozen = frozenset(atoms)
-                    if frozen != self.atoms.get(qual):
-                        self.atoms[qual] = frozen
-                        changed = True
-                if trivial or not changed:
-                    break
+        edges = {
+            qual: [(e.callee, e.caught) for e in calls]
+            for qual, calls in self.calls.items()
+        }
+        self.atoms = solve(
+            self.bases,
+            edges,
+            lambda qual: (
+                site.atom
+                for site in self.bases[qual].intrinsics
+                if self._escapes(site.caught, site.atom)
+            ),
+            self._escapes,
+        )
 
     # -- queries -------------------------------------------------------
 
@@ -1121,26 +1072,30 @@ class EffectInference:
         """
         if qual not in self.bases or qual in exclude:
             return None
-        parent: Dict[str, Optional[Tuple[str, int]]] = {qual: None}
-        frontier = [qual]
-        while frontier:
-            next_frontier: List[str] = []
-            for node in frontier:
-                site = self._first_intrinsic(node, pred)
-                if site is not None:
-                    return self._build_path(node, parent, site)
-                for edge in self.calls.get(node, ()):
-                    callee = edge.callee
-                    if callee in parent or callee in exclude:
-                        continue
-                    if not any(
-                        pred(a) for a in self.atoms.get(callee, ())
-                    ):
-                        continue
-                    parent[callee] = (node, edge.lineno)
-                    next_frontier.append(callee)
-            frontier = sorted(set(next_frontier))
-        return None
+
+        def expand(node: str) -> Iterator[Tuple[str, int]]:
+            for edge in self.calls.get(node, ()):
+                if edge.callee not in exclude and any(
+                    pred(a) for a in self.atoms.get(edge.callee, ())
+                ):
+                    yield edge.callee, edge.lineno
+
+        parent, found = bfs(
+            [qual],
+            expand,
+            goal=lambda node: self._first_intrinsic(node, pred) is not None,
+        )
+        if found is None:
+            return None
+        site = self._first_intrinsic(found, pred)
+        # Each hop names the line its function calls the next one from.
+        path = path_to(parent, found)
+        hops: List[WitnessHop] = [
+            (node, call_line, f"calls {short_qual(callee)}")
+            for (node, _), (callee, call_line) in zip(path, path[1:])
+        ]
+        hops.append((found, site.lineno, site.text))
+        return hops
 
     def _first_intrinsic(
         self, qual: str, pred: Callable[[Atom], bool]
@@ -1149,40 +1104,6 @@ class EffectInference:
         if not matches:
             return None
         return min(matches, key=lambda s: (s.lineno, s.col, s.text))
-
-    def _build_path(
-        self,
-        end: str,
-        parent: Dict[str, Optional[Tuple[str, int]]],
-        site: IntrinsicSite,
-    ) -> List[WitnessHop]:
-        # Walk parent links from the grounded end back to the root; the
-        # int beside each qual is the line *its parent* called it from.
-        rev: List[Tuple[str, int]] = []
-        cursor: Optional[str] = end
-        while cursor is not None:
-            link = parent[cursor]
-            if link is None:
-                rev.append((cursor, -1))
-                cursor = None
-            else:
-                rev.append((cursor, link[1]))
-                cursor = link[0]
-        rev.reverse()
-        hops: List[WitnessHop] = []
-        for i, (node_qual, _) in enumerate(rev):
-            if i + 1 < len(rev):
-                callee_qual, call_line = rev[i + 1]
-                hops.append(
-                    (
-                        node_qual,
-                        call_line,
-                        f"calls {short_qual(callee_qual)}",
-                    )
-                )
-            else:
-                hops.append((node_qual, site.lineno, site.text))
-        return hops
 
 
 def short_qual(qual: str) -> str:

@@ -10,12 +10,21 @@ This rule computes, per function, whether a ``NetworkError``-family
 exception can *escape* it: a cross-peer primitive call or an explicit
 ``raise`` of a family type, not enclosed in a handler that catches the
 family, or a call to a function the family escapes from, equally unhandled
-— a bottom-up fixpoint over the precise call graph.  It then walks
-top-down from *entry points* (functions with no precise callers) marking
-functions the escape actually *reaches* with no resilience coverage and no
-handler anywhere on the propagation path, and flags each uncaught,
-uncovered call site into an escaping callee on such a path.  The finding's
-trace walks the witness chain down to the primitive that raises.
+— a bottom-up fixpoint (:func:`repro.analysis.fixpoint.solve`) over the
+precise call graph.  It then walks top-down from *entry points* (functions
+with no precise callers) marking functions the escape actually *reaches*
+with no resilience coverage and no handler anywhere on the propagation
+path, and flags each uncaught, uncovered call site into an escaping callee
+on such a path.  The finding's trace is the shortest witness chain down to
+the primitive that raises, chosen after convergence.
+
+Nothing here walks an AST: handler contexts and ``raise`` sites come from
+the effects tier's per-function :class:`~repro.analysis.effects.EffectBase`,
+primitive and wrapper calls from the graph's call sites, classified as
+RES001 classifies them.  A handler catches the family when it names
+``NetworkError`` or one of its bases (the class-hierarchy check effect
+inference uses, with the ``repro.errors`` chain always known); catching a
+subclass such as ``RpcTimeoutError`` does not stop the family.
 
 Exemptions mirror RES001: ``sim`` (the substrate is the wire),
 ``mapreduce`` (job re-execution is the fault model), ``analysis`` (no
@@ -24,208 +33,30 @@ runtime traffic), and ``repro.core.resilience`` itself.
 
 from __future__ import annotations
 
-import ast
-from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Tuple
 
-from repro.analysis.dataflow import iter_function_defs
+from repro.analysis.effects import catches, compute_effect_bases
 from repro.analysis.findings import Finding, Severity
-from repro.analysis.projectgraph import ProjectGraph
+from repro.analysis.fixpoint import bfs, path_to, solve
+from repro.analysis.projectgraph import CallSite, ProjectGraph
 from repro.analysis.registry import ProjectRule, register_rule
 from repro.analysis.resiliencerules import (
-    EXEMPT_MODULES,
-    EXEMPT_UNITS,
-    WIRE_METHODS,
     _is_cross_peer,
     _is_wrapper_site,
+    exempt_module,
+    resilience_covered,
 )
 
-#: The family whose escape we track, plus the types that catch it.
+#: The family whose escape we track.
 FAMILY_ROOT = "NetworkError"
-_BUILTIN_FAMILY = frozenset(
-    {"NetworkError", "TransientNetworkError", "RpcTimeoutError"}
-)
-_FAMILY_ANCESTORS = frozenset(
-    {"SimulationError", "ReproError", "Exception", "BaseException"}
-)
-_REMOTE_CALLEES = frozenset(WIRE_METHODS) | {"execute_fetch", "execute_local"}
-
-
-def _base_names(node: ast.ClassDef) -> Iterator[str]:
-    for base in node.bases:
-        if isinstance(base, ast.Name):
-            yield base.id
-        elif isinstance(base, ast.Attribute):
-            yield base.attr
-
-
-def network_family(graph: ProjectGraph) -> Set[str]:
-    """Class names in the NetworkError family, by declared inheritance
-    across every scanned module (fixtures included) plus the built-ins."""
-    subclasses: Dict[str, Set[str]] = {}
-    for name in sorted(graph.modules):
-        for node in ast.walk(graph.modules[name].tree):
-            if isinstance(node, ast.ClassDef):
-                for base in _base_names(node):
-                    subclasses.setdefault(base, set()).add(node.name)
-    family = set(_BUILTIN_FAMILY)
-    work = sorted(family)
-    while work:
-        cls = work.pop()
-        for sub in subclasses.get(cls, ()):
-            if sub not in family:
-                family.add(sub)
-                work.append(sub)
-    return family
-
-
-def _handler_catches(handler: ast.ExceptHandler, family: Set[str]) -> bool:
-    if handler.type is None:
-        return True  # bare except
-    types = (
-        handler.type.elts
-        if isinstance(handler.type, ast.Tuple)
-        else [handler.type]
-    )
-    for node in types:
-        name: Optional[str] = None
-        if isinstance(node, ast.Name):
-            name = node.id
-        elif isinstance(node, ast.Attribute):
-            name = node.attr
-        if name is not None and (
-            name in family or name in _FAMILY_ANCESTORS
-        ):
-            return True
-    return False
-
-
-def _raised_name(node: Optional[ast.expr]) -> Optional[str]:
-    if isinstance(node, ast.Call):
-        node = node.func
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    return None
-
-
-@dataclass
-class _CallRecord:
-    """One call site inside a function, with its handler context."""
-
-    lineno: int
-    col: int
-    callee_name: str
-    receiver: Optional[str]
-    caught: bool  # a family-catching handler encloses the site
-    is_primitive: bool  # a cross-peer wire/exec call (RES001 territory)
-    is_wrapper: bool  # call_resilient / ResilienceContext.call
-
-
-@dataclass
-class _FuncSummary:
-    qualname: str
-    module: str
-    calls: List[_CallRecord]
-    #: (lineno, description) of uncaught local family raises/primitives.
-    local_escapes: List[Tuple[int, str]]
-
-
-def _summarize_function(
-    qualname: str,
-    module: str,
-    body: List[ast.stmt],
-    family: Set[str],
-) -> _FuncSummary:
-    summary = _FuncSummary(qualname, module, [], [])
-
-    def visit_expr(node: ast.AST, caught: bool) -> None:
-        for child in ast.walk(node):
-            if not isinstance(child, ast.Call):
-                continue
-            func = child.func
-            receiver: Optional[str] = None
-            if isinstance(func, ast.Attribute):
-                callee = func.attr
-                try:
-                    receiver = ast.unparse(func.value)
-                except Exception:
-                    receiver = "<expr>"
-            elif isinstance(func, ast.Name):
-                callee = func.id
-            else:
-                continue
-            is_primitive = (
-                receiver is not None
-                and receiver not in ("self", "cls")
-                and callee in _REMOTE_CALLEES
-            )
-            is_wrapper = callee == "call_resilient" or (
-                callee == "call"
-                and receiver is not None
-                and "resilience" in receiver
-            )
-            summary.calls.append(
-                _CallRecord(
-                    lineno=child.lineno,
-                    col=child.col_offset,
-                    callee_name=callee,
-                    receiver=receiver,
-                    caught=caught,
-                    is_primitive=is_primitive,
-                    is_wrapper=is_wrapper,
-                )
-            )
-            if is_primitive and not caught:
-                summary.local_escapes.append(
-                    (child.lineno, f"{receiver}.{callee}(...) can raise")
-                )
-
-    def visit_body(stmts: List[ast.stmt], caught: bool) -> None:
-        for stmt in stmts:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef)):
-                continue  # nested scopes are their own summaries
-            if isinstance(stmt, ast.Try) or (
-                stmt.__class__.__name__ == "TryStar"
-            ):
-                catches = any(
-                    _handler_catches(h, family)
-                    for h in stmt.handlers  # type: ignore[attr-defined]
-                )
-                visit_body(stmt.body, caught or catches)  # type: ignore[attr-defined]
-                visit_body(stmt.orelse, caught or catches)  # type: ignore[attr-defined]
-                for handler in stmt.handlers:  # type: ignore[attr-defined]
-                    visit_body(handler.body, caught)
-                visit_body(stmt.finalbody, caught)  # type: ignore[attr-defined]
-                continue
-            if isinstance(stmt, ast.Raise):
-                raised = _raised_name(stmt.exc)
-                if raised in family and not caught:
-                    summary.local_escapes.append(
-                        (stmt.lineno, f"raise {raised}")
-                    )
-                if stmt.exc is not None:
-                    visit_expr(stmt.exc, caught)
-                continue
-            if isinstance(stmt, (ast.If, ast.For, ast.AsyncFor, ast.While,
-                                 ast.With, ast.AsyncWith)):
-                for field_name in ("test", "iter", "target"):
-                    value = getattr(stmt, field_name, None)
-                    if isinstance(value, ast.expr):
-                        visit_expr(value, caught)
-                if isinstance(stmt, (ast.With, ast.AsyncWith)):
-                    for item in stmt.items:
-                        visit_expr(item.context_expr, caught)
-                visit_body(stmt.body, caught)
-                visit_body(getattr(stmt, "orelse", []), caught)
-                continue
-            visit_expr(stmt, caught)
-
-    visit_body(body, False)
-    summary.local_escapes.sort()
-    return summary
+#: ``repro.errors``' chain, known even when that module is not scanned.
+_BUILTIN_BASES = {
+    "RpcTimeoutError": frozenset({"TransientNetworkError"}),
+    "TransientNetworkError": frozenset({"NetworkError"}),
+    "NetworkError": frozenset({"SimulationError"}),
+    "SimulationError": frozenset({"ReproError"}),
+}
+_FAMILY = frozenset({FAMILY_ROOT})
 
 
 @register_rule
@@ -278,155 +109,134 @@ class ExceptionEscapeRule(ProjectRule):
         "        return None\n"
     )
 
-    def _exempt(self, graph: ProjectGraph, qualname: str) -> bool:
-        module_name = qualname.split(":", 1)[0]
-        module = graph.modules.get(module_name)
-        if module is None:
-            return True
-        return module.unit in EXEMPT_UNITS or module.name in EXEMPT_MODULES
-
     def check_project(self, graph: ProjectGraph) -> Iterator[Finding]:
-        family = network_family(graph)
-        summaries: Dict[str, _FuncSummary] = {}
-        for name in sorted(graph.modules):
-            mod = graph.modules[name]
-            for qualname, funcdef, _cls in iter_function_defs(
-                mod.name, mod.tree
-            ):
-                body = (
-                    mod.tree.body
-                    if funcdef is None
-                    else funcdef.body  # type: ignore[attr-defined]
-                )
-                summaries[qualname] = _summarize_function(
-                    qualname, mod.name, list(body), family
-                )
+        bases, class_bases = compute_effect_bases(graph)
+        hierarchy = dict(class_bases)
+        for cls, extra in _BUILTIN_BASES.items():
+            hierarchy[cls] = hierarchy.get(cls, frozenset()) | extra
 
-        # Resolution: join each record with the graph's call-site index.
-        # Chained calls (``x.f().g()``) share one anchor position, so the
-        # callee name is part of the key.
-        site_index = {
-            (site.caller, site.lineno, site.col, site.callee_name): site
-            for site in graph.call_sites
-        }
+        def exempt(qual: str) -> bool:
+            module = graph.modules.get(qual.split(":", 1)[0])
+            return module is None or exempt_module(module)
 
-        def resolved_callees(qual: str, rec: _CallRecord) -> Tuple[str, ...]:
-            site = site_index.get((qual, rec.lineno, rec.col, rec.callee_name))
-            if site is None or not site.precise:
-                return ()
-            return tuple(
+        # Where the family starts unwinding: (line, note) per function.
+        sources: Dict[str, List[Tuple[int, str]]] = {}
+        for qual in sorted(bases):
+            if exempt(qual):
+                continue
+            for intr in bases[qual].intrinsics:
+                name = intr.atom[1] if intr.atom[0] == "raises" else None
+                if (
+                    name is not None
+                    and catches(name, _FAMILY, hierarchy)
+                    and not catches(name, intr.caught, hierarchy)
+                ):
+                    sources.setdefault(qual, []).append(
+                        (intr.lineno, intr.text)
+                    )
+
+        # The unwind edges: uncaught, unwrapped call sites and the precise,
+        # non-exempt callees each resolves to.
+        unwinds: Dict[str, List[Tuple[CallSite, Tuple[str, ...]]]] = {}
+        for site in graph.call_sites:
+            base = bases.get(site.caller)
+            if base is None or _is_wrapper_site(site):
+                continue
+            handled = base.call_catches.get((site.lineno, site.col))
+            if handled and catches(FAMILY_ROOT, handled, hierarchy):
+                continue
+            if _is_cross_peer(site) and not exempt(site.caller):
+                sources.setdefault(site.caller, []).append(
+                    (
+                        site.lineno,
+                        f"{site.receiver}.{site.callee_name}(...) can raise",
+                    )
+                )
+            callees = tuple(
                 callee
                 for callee in sorted(site.resolved)
-                if callee in summaries and not self._exempt(graph, callee)
+                if site.precise and callee in bases and not exempt(callee)
             )
+            if callees:
+                unwinds.setdefault(site.caller, []).append((site, callees))
+        edges = {
+            caller: sorted(
+                ((callee, site.lineno) for site, callees in hops
+                 for callee in callees),
+                key=lambda edge: (edge[1], edge[0]),
+            )
+            for caller, hops in unwinds.items()
+        }
 
-        # Bottom-up: from which functions does the family escape, and why.
-        escapes: Set[str] = set()
-        witness: Dict[str, Tuple[str, int, str]] = {}
-        for qual in sorted(summaries):
-            summary = summaries[qual]
-            if summary.local_escapes and not self._exempt(graph, qual):
-                escapes.add(qual)
-                lineno, desc = summary.local_escapes[0]
-                witness[qual] = ("prim", lineno, desc)
-        changed = True
-        while changed:
-            changed = False
-            for qual in sorted(summaries):
-                if qual in escapes:
-                    continue
-                for rec in summaries[qual].calls:
-                    if rec.caught or rec.is_wrapper:
-                        continue
-                    for callee in resolved_callees(qual, rec):
-                        if callee in escapes:
-                            escapes.add(qual)
-                            witness[qual] = ("call", rec.lineno, callee)
-                            changed = True
-                            break
-                    if qual in escapes:
-                        break
+        facts = solve(
+            bases, edges, lambda qual: _FAMILY if qual in sources else ()
+        )
+        escapes = {qual for qual, fact in facts.items() if fact}
 
-        # Resilience coverage, exactly as RES001 computes it.
-        roots: Set[str] = set()
-        for site in graph.call_sites:
-            if _is_wrapper_site(site):
-                roots.update(site.func_ref_args)
-        covered = graph.functions_reachable_from(roots, precise_only=True)
+        covered = resilience_covered(graph)
 
         def protected(qual: str) -> bool:
             return any(fn in covered for fn in graph.scope_chain(qual))
 
         # Top-down: which functions does the escape actually reach with
         # no protection on the way from an entry point.
-        exposed: Set[str] = set()
-        work: List[str] = []
-        for qual in sorted(summaries):
-            if qual not in graph.reverse_precise_edges and not protected(
-                qual
-            ):
-                exposed.add(qual)
-                work.append(qual)
-        while work:
-            qual = work.pop()
-            for rec in summaries[qual].calls:
-                if rec.caught or rec.is_wrapper:
-                    continue
-                for callee in resolved_callees(qual, rec):
-                    if callee not in exposed and not protected(callee):
-                        exposed.add(callee)
-                        work.append(callee)
+        entries = [
+            qual
+            for qual in bases
+            if qual not in graph.reverse_precise_edges and not protected(qual)
+        ]
+        exposed, _ = bfs(
+            entries,
+            lambda qual: (
+                (callee, None)
+                for callee, _ in edges.get(qual, ())
+                if not protected(callee)
+            ),
+        )
 
-        def witness_trace(
-            start_path: str, start_line: int, callee: str
+        def witness(
+            path: str, lineno: int, callee: str
         ) -> Tuple[Tuple[str, int, str], ...]:
-            hops: List[Tuple[str, int, str]] = [
-                (start_path, start_line, f"uncovered call into {callee!r}")
-            ]
-            current = callee
-            for _ in range(20):
-                module = graph.module_of_function(current)
-                step = witness.get(current)
-                if step is None or module is None:
-                    break
-                kind, lineno, detail = step
-                if kind == "prim":
-                    hops.append((module.path, lineno, detail))
-                    break
+            """The shortest chain from ``callee`` down to a source."""
+            parent, found = bfs(
+                [callee],
+                lambda qual: (
+                    edge for edge in edges.get(qual, ()) if edge[0] in escapes
+                ),
+                goal=sources.__contains__,
+            )
+            hops = [(path, lineno, f"uncovered call into {callee!r}")]
+            chain = path_to(parent, found)
+            for (qual, _), (nxt, call_line) in zip(chain, chain[1:]):
                 hops.append(
-                    (module.path, lineno, f"uncaught call into {detail!r}")
+                    (
+                        graph.module_of_function(qual).path,
+                        call_line,
+                        f"uncaught call into {nxt!r}",
+                    )
                 )
-                current = detail
+            line, note = min(sources[found])
+            hops.append((graph.module_of_function(found).path, line, note))
             return tuple(hops)
 
-        for qual in sorted(summaries):
-            if qual not in exposed or self._exempt(graph, qual):
+        for qual in sorted(exposed):
+            if exempt(qual):
                 continue
-            module = graph.modules.get(summaries[qual].module)
-            if module is None:
-                continue
-            for rec in summaries[qual].calls:
-                if rec.caught or rec.is_wrapper or rec.is_primitive:
-                    continue
-                site = site_index.get(
-                    (qual, rec.lineno, rec.col, rec.callee_name)
-                )
-                if site is not None and _is_cross_peer(site):
+            module = graph.module_of_function(qual)
+            for site, callees in unwinds.get(qual, ()):
+                if _is_cross_peer(site):
                     continue  # RES001's territory
-                for callee in resolved_callees(qual, rec):
-                    if callee not in escapes:
-                        continue
-                    finding = self.project_finding(
-                        module,
-                        rec.lineno,
-                        rec.col,
-                        f"NetworkError-family exceptions escape "
-                        f"{callee!r} and propagate through {qual!r} with "
-                        f"no resilience coverage or handler on the path "
-                        f"— wrap the call or catch the family",
-                    )
-                    finding.trace = witness_trace(
-                        module.path, rec.lineno, callee
-                    )
-                    yield finding
-                    break  # one finding per site
+                callee = next((c for c in callees if c in escapes), None)
+                if callee is None:
+                    continue
+                finding = self.project_finding(
+                    module,
+                    site.lineno,
+                    site.col,
+                    f"NetworkError-family exceptions escape "
+                    f"{callee!r} and propagate through {qual!r} with "
+                    f"no resilience coverage or handler on the path "
+                    f"— wrap the call or catch the family",
+                )
+                finding.trace = witness(module.path, site.lineno, callee)
+                yield finding

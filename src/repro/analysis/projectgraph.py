@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.asthelpers import ImportMap
+from repro.analysis.fixpoint import bfs
 from repro.analysis.registry import FileContext
 
 #: Pseudo-function name holding a module's top-level statements.
@@ -454,24 +455,29 @@ class ProjectGraph:
         def walk(
             node: ast.AST,
             scope: str,
+            path: List[str],
             direct_cls: Optional[str],
             method_cls: Optional[str],
         ) -> None:
-            # ``direct_cls``: class whose body we are lexically inside
-            # (decides method-ness of defs); ``method_cls``: class of the
-            # *method scope* we are executing in (decides what ``self`` is).
+            # ``path``: the qualname path of defs and classes we are in, as
+            # in ``_collect_defs``; ``direct_cls``: class whose body we are
+            # lexically inside; ``method_cls``: class of the *method
+            # scope* we are executing in (decides what ``self`` is).
             for child in ast.iter_child_nodes(node):
                 if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    qual = self._qualname_of(child, scope, direct_cls, mod)
                     walk(
                         child,
-                        qual,
+                        f"{mod.name}:{'.'.join(path + [child.name])}",
+                        path + [child.name],
                         None,
                         direct_cls if direct_cls is not None else method_cls,
                     )
                     continue
                 if isinstance(child, ast.ClassDef):
-                    walk(child, scope, child.name, method_cls)
+                    walk(
+                        child, scope, path + [child.name], child.name,
+                        method_cls,
+                    )
                     continue
                 if isinstance(child, ast.Call):
                     self._record_call(child, scope, method_cls, mod)
@@ -479,23 +485,9 @@ class ProjectGraph:
                     self._record_attr_assigns(child, scope, mod)
                 elif isinstance(child, (ast.AugAssign, ast.Delete)):
                     self._record_other_mutations(child, scope, mod)
-                walk(child, scope, direct_cls, method_cls)
+                walk(child, scope, path, direct_cls, method_cls)
 
-        walk(mod.tree, module_scope, None, None)
-
-    def _qualname_of(
-        self,
-        funcdef: ast.AST,
-        scope: str,
-        direct_cls: Optional[str],
-        mod: ModuleNode,
-    ) -> str:
-        name = funcdef.name  # type: ignore[attr-defined]
-        if direct_cls is not None:
-            return f"{mod.name}:{direct_cls}.{name}"
-        if scope.endswith(f":{MODULE_SCOPE}"):
-            return f"{mod.name}:{name}"
-        return f"{scope}.{name}"
+        walk(mod.tree, module_scope, [], None, None)
 
     def _record_call(
         self,
@@ -628,19 +620,15 @@ class ProjectGraph:
         reverse = (
             self.reverse_precise_edges if precise_only else self.reverse_edges
         )
-        reaching: Set[str] = set()
-        work: List[str] = []
-        for site in self.call_sites:
-            if site.callee_name in callee_names and site.caller not in reaching:
-                reaching.add(site.caller)
-                work.append(site.caller)
-        while work:
-            fn = work.pop()
-            for caller in reverse.get(fn, ()):
-                if caller not in reaching:
-                    reaching.add(caller)
-                    work.append(caller)
-        return reaching
+        seeds = {
+            site.caller
+            for site in self.call_sites
+            if site.callee_name in callee_names
+        }
+        parent, _ = bfs(
+            seeds, lambda fn: ((other, None) for other in reverse.get(fn, ()))
+        )
+        return set(parent)
 
     def functions_reachable_from(
         self, roots: Set[str], precise_only: bool = False
@@ -648,15 +636,10 @@ class ProjectGraph:
         """Forward closure: ``roots`` plus everything they (transitively)
         call or reference (see ``functions_reaching`` for ``precise_only``)."""
         forward = self.precise_edges if precise_only else self.edges
-        reachable = set(roots)
-        work = sorted(roots)
-        while work:
-            fn = work.pop()
-            for callee in forward.get(fn, ()):
-                if callee not in reachable:
-                    reachable.add(callee)
-                    work.append(callee)
-        return reachable
+        parent, _ = bfs(
+            roots, lambda fn: ((other, None) for other in forward.get(fn, ()))
+        )
+        return set(parent)
 
     def module_of_function(self, qualname: str) -> Optional[ModuleNode]:
         node = self.functions.get(qualname)

@@ -55,7 +55,7 @@ from typing import Iterator, Optional, Set
 
 from repro.analysis.asthelpers import is_name
 from repro.analysis.findings import Finding, Severity
-from repro.analysis.projectgraph import CallSite, ProjectGraph
+from repro.analysis.projectgraph import CallSite, ModuleNode, ProjectGraph
 from repro.analysis.registry import FileContext, ProjectRule, Rule, register_rule
 
 WIRE_METHODS = frozenset({"transfer", "broadcast"})
@@ -77,6 +77,28 @@ def _is_wrapper_site(site: CallSite) -> bool:
     )
 
 
+def exempt_module(module: ModuleNode) -> bool:
+    """Whether cross-peer work in ``module`` is exempt from RES001/RES004."""
+    return module.unit in EXEMPT_UNITS or module.name in EXEMPT_MODULES
+
+
+def resilience_covered(graph: ProjectGraph) -> Set[str]:
+    """Functions running under a resilience context: the functions
+    referenced at wrapper sites, and everything precisely reachable from
+    them.  Memoized on the graph, so RES001 and RES004 share one pass."""
+    if "resilience_covered" not in graph.memo:
+        roots = {
+            ref
+            for site in graph.call_sites
+            if _is_wrapper_site(site)
+            for ref in site.func_ref_args
+        }
+        graph.memo["resilience_covered"] = graph.functions_reachable_from(
+            roots, precise_only=True
+        )
+    return graph.memo["resilience_covered"]  # type: ignore[return-value]
+
+
 def _is_cross_peer(site: CallSite) -> bool:
     if site.receiver is None or site.receiver in ("self", "cls"):
         return False
@@ -96,18 +118,12 @@ class ResilienceCoverageRule(ProjectRule):
     categories = ("src",)
 
     def check_project(self, graph: ProjectGraph) -> Iterator[Finding]:
-        roots: Set[str] = set()
-        for site in graph.call_sites:
-            if _is_wrapper_site(site):
-                roots.update(site.func_ref_args)
-        covered = graph.functions_reachable_from(roots, precise_only=True)
+        covered = resilience_covered(graph)
         for site in graph.call_sites:
             if not _is_cross_peer(site):
                 continue
             module = graph.modules.get(site.module)
-            if module is None:
-                continue
-            if module.unit in EXEMPT_UNITS or module.name in EXEMPT_MODULES:
+            if module is None or exempt_module(module):
                 continue
             if any(fn in covered for fn in graph.scope_chain(site.caller)):
                 continue

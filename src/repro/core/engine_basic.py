@@ -43,13 +43,13 @@ from repro.hadoopdb.sms import (
     TableLocalPlan,
     partial_aggregate_plan,
 )
-from repro.mapreduce.engine import records_byte_size
 from repro.sqlengine.database import Database
 from repro.sqlengine.expr import Between, BinaryOp, ColumnRef, Literal
 from repro.sqlengine.parser import SelectStmt, parse
 from repro.sqlengine.planner import _normalize_comparison, _split_conjuncts
 from repro.sqlengine.schema import Column, TableSchema
 from repro.sqlengine.table import MemTable
+from repro.sqlengine.types import records_byte_size
 
 
 class BasicEngine:

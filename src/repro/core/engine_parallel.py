@@ -21,11 +21,11 @@ from repro.core.indexer import PeerLookup
 from repro.errors import BestPeerError, PeerUnavailableError
 from repro.hadoopdb.driver import aggregate_records, finalize_records
 from repro.hadoopdb.sms import SmsPlanner
-from repro.mapreduce.engine import records_byte_size
 from repro.sim.clock import parallel_duration
 from repro.sqlengine.executor import interpreted_predicate
 from repro.sqlengine.expr import RowLayout
 from repro.sqlengine.parser import parse
+from repro.sqlengine.types import records_byte_size
 
 
 @dataclass

@@ -128,8 +128,8 @@ def online_aggregate(
     sweet spot); anything else raises.
     """
     from repro.hadoopdb.sms import SmsPlanner, partial_aggregate_plan
-    from repro.mapreduce.engine import records_byte_size
     from repro.sqlengine.parser import parse
+    from repro.sqlengine.types import records_byte_size
 
     plan = SmsPlanner(network.global_schemas).compile(parse(sql))
     if plan.joins or plan.aggregate is None or plan.aggregate.group_exprs:

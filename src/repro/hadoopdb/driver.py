@@ -19,10 +19,11 @@ from repro.hadoopdb.sms import (
     TableLocalPlan,
     partial_aggregate_plan,
 )
-from repro.mapreduce.engine import MapReduceEngine, records_byte_size
+from repro.mapreduce.engine import MapReduceEngine
 from repro.mapreduce.job import InputSplit, JobResult, MapReduceJob, SplitData
 from repro.sqlengine.executor import compute_aggregates
 from repro.sqlengine.expr import RowLayout
+from repro.sqlengine.types import records_byte_size
 
 
 @dataclass

@@ -25,7 +25,7 @@ from repro.mapreduce.job import (
 )
 from repro.sim.clock import parallel_duration
 from repro.sim.network import SimNetwork
-from repro.sqlengine.types import value_byte_size
+from repro.sqlengine.types import records_byte_size, value_byte_size
 
 
 @dataclass(frozen=True)
@@ -51,17 +51,6 @@ class MapReduceConfig:
             raise MapReduceError("startup costs must be non-negative")
         if self.map_slots_per_host < 1:
             raise MapReduceError("need at least one map slot per host")
-
-
-def records_byte_size(records: Sequence[object]) -> int:
-    """Approximate wire size of a record batch (tuples or scalars)."""
-    total = 0
-    for record in records:
-        if isinstance(record, tuple):
-            total += sum(value_byte_size(value) for value in record)
-        else:
-            total += value_byte_size(record)
-    return total
 
 
 class MapReduceEngine:

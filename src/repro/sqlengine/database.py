@@ -35,7 +35,7 @@ from repro.sqlengine.planner import Planner, explain_plan, plan_tables
 from repro.sqlengine.schema import TableSchema
 from repro.sqlengine.stats import TableStats, collect_table_stats
 from repro.sqlengine.table import Table
-from repro.sqlengine.types import value_byte_size
+from repro.sqlengine.types import records_byte_size
 from repro.sqlengine.vexecutor import VectorizedExecutor
 
 #: Supported evaluation strategies: the reference, then the fast path.
@@ -68,9 +68,7 @@ class QueryResult:
         :meth:`invalidate_byte_size`.
         """
         if self._byte_size is None:
-            self._byte_size = sum(
-                value_byte_size(value) for row in self.rows for value in row
-            )
+            self._byte_size = records_byte_size(self.rows)
         return self._byte_size
 
     def invalidate_byte_size(self) -> None:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 import re
-from typing import Optional
+from typing import Iterable, Optional
 
 from repro.errors import SqlTypeError
 
@@ -106,3 +106,13 @@ def value_byte_size(value: object, column_type: Optional[ColumnType] = None) -> 
     if isinstance(value, (int, float)):
         return 8
     return len(str(value)) + 4
+
+
+def records_byte_size(records: Iterable[object]) -> int:
+    """Approximate wire size of a record batch: a tuple record is sized
+    value by value, any other record as one value."""
+    return sum(
+        value_byte_size(value)
+        for record in records
+        for value in (record if isinstance(record, tuple) else (record,))
+    )

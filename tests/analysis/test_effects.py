@@ -419,16 +419,41 @@ class TestDeterminism:
         ),
     }
 
-    def test_shuffled_file_orders_render_identically(self):
-        rule = [get_rule("DET003")]
+    #: RES004 runs on the same effect bases: a two-hop helper chain whose
+    #: middle hop reaches two escaping helpers.
+    RES004_FILES = {
+        "proj/core/entry.py": (
+            "from proj.core.helpers import relay\n"
+            "def pull(net):\n"
+            "    return relay(net)\n"
+        ),
+        "proj/core/helpers.py": (
+            "from proj.core.wire import fetch_block, push_block\n"
+            "def relay(net):\n"
+            "    push_block(net)\n"
+            "    return fetch_block(net)\n"
+        ),
+        "proj/core/wire.py": (
+            "def fetch_block(net):\n"
+            "    return net.transfer('a', 'b', 1)\n"
+            "def push_block(net):\n"
+            "    return net.broadcast('a', 1)\n"
+        ),
+    }
+    FIXTURES = {"DET003": FILES, "RES004": RES004_FILES}
+
+    @pytest.mark.parametrize("rule_id", sorted(FIXTURES))
+    def test_shuffled_file_orders_render_identically(self, rule_id):
+        rule = [get_rule(rule_id)]
         rendered = []
-        paths = list(self.FILES)
+        fixture = self.FIXTURES[rule_id]
+        paths = list(fixture)
         rng = random.Random(11)
         for _ in range(4):
             rng.shuffle(paths)
-            files = {path: self.FILES[path] for path in paths}
+            files = {path: fixture[path] for path in paths}
             findings = analyze_project(files, rules=rule)
-            rendered.append([f.render() for f in findings])
+            rendered.append([(f.render(), f.trace) for f in findings])
         assert rendered[0]  # the contract violation is found at all
         assert all(r == rendered[0] for r in rendered[1:])
 

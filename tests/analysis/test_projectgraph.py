@@ -1,5 +1,7 @@
 """The whole-program import/call graph the interprocedural rules share."""
 
+from repro.analysis.dataflow import compute_flows
+from repro.analysis.effects import compute_effect_bases
 from repro.analysis.projectgraph import (
     MODULE_SCOPE,
     module_name_for_path,
@@ -26,6 +28,46 @@ class TestNaming:
         assert unit_of("repro.core.peer") == "core"
         assert unit_of("repro.errors") == "errors"
         assert unit_of("fixture") == "fixture"
+
+    def test_graph_flows_and_effect_bases_share_one_qualname_scheme(
+        self, graph_of
+    ):
+        # RES004 joins effect bases with call-site callers, and the taint
+        # engine joins flows with them: every tier must name every scope
+        # the same way.
+        graph = graph_of({
+            "proj/mod.py": """
+                class Top:
+                    size = len([])
+
+                    def method(self):
+                        def inner():
+                            return len([])
+                        return inner()
+
+                    class Nested:
+                        def deep(self):
+                            return len([])
+
+                def outer():
+                    class Local:
+                        def meth(self):
+                            return len([])
+
+                    def helper():
+                        def innermost():
+                            return len([])
+                        return innermost()
+                    return Local, helper
+            """,
+        })
+        names = set(graph.functions)
+        assert "proj.mod:Top.Nested.deep" in names
+        assert "proj.mod:outer.Local.meth" in names
+        assert names == set(compute_flows(graph)) == set(
+            compute_effect_bases(graph)[0]
+        )
+        assert {site.caller for site in graph.call_sites} <= names
 
 
 class TestImportGraph:

@@ -53,6 +53,66 @@ class TestPositive:
         assert findings
         assert all(f.line >= 10 for f in findings)  # only the bare path
 
+    def test_try_else_branch_is_not_guarded_by_the_handlers(self, reported):
+        # ``else:`` runs after the body completed, outside the handlers.
+        findings = reported(
+            "RES004",
+            """\
+            from repro.errors import NetworkError
+
+            def prepare():
+                return 1
+
+            def fetch_block(net, src, dst):
+                return net.transfer(src, dst, 4096)
+
+            def pull(net, src, dst):
+                try:
+                    prepare()
+                except NetworkError:
+                    return None
+                else:
+                    return fetch_block(net, src, dst)
+            """,
+        )
+        assert [f.line for f in findings] == [15]
+
+    def test_class_body_inside_a_function_is_scanned(self, reported):
+        # A class body runs at definition time, in the enclosing function.
+        findings = reported(
+            "RES004",
+            """\
+            def fetch_block(net, src, dst):
+                return net.transfer(src, dst, 4096)
+
+            def pull(net, src, dst):
+                class Holder:
+                    value = fetch_block(net, src, dst)
+
+                return Holder
+            """,
+        )
+        assert [f.line for f in findings] == [6]
+
+    def test_subclass_handler_does_not_catch_the_family(self, reported):
+        # ``except RpcTimeoutError`` lets a plain NetworkError through.
+        findings = reported(
+            "RES004",
+            """\
+            from repro.errors import RpcTimeoutError
+
+            def fetch_block(net, src, dst):
+                return net.transfer(src, dst, 4096)
+
+            def pull(net, src, dst):
+                try:
+                    return fetch_block(net, src, dst)
+                except RpcTimeoutError:
+                    return None
+            """,
+        )
+        assert [f.line for f in findings] == [8]
+
 
 class TestNegative:
     def test_family_handler_on_the_path_is_quiet(self, reported):
