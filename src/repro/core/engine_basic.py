@@ -45,7 +45,7 @@ from repro.hadoopdb.sms import (
 )
 from repro.sqlengine.database import Database
 from repro.sqlengine.expr import Between, BinaryOp, ColumnRef, Literal
-from repro.sqlengine.parser import SelectStmt, parse
+from repro.sqlengine.parser import SelectStmt, TableRef, parse
 from repro.sqlengine.planner import _normalize_comparison, _split_conjuncts
 from repro.sqlengine.schema import Column, TableSchema
 from repro.sqlengine.table import MemTable
@@ -339,9 +339,17 @@ class BasicEngine:
         # Re-evaluate over the staged partitions with only the residual
         # (multi-table) predicates — the single-table ones were already
         # applied at the data owners, whose pruned projections may not even
-        # carry the filtered columns.
+        # carry the filtered columns.  Each binding reads its own staged
+        # table, so the two bindings of a self-join see their own rows.
+        stmt = plan.statement
         processing_stmt = dataclasses.replace(
-            plan.statement, where=plan.residual_where
+            stmt,
+            tables=tuple(_staged_ref(ref) for ref in stmt.tables),
+            joins=tuple(
+                dataclasses.replace(join, table=_staged_ref(join.table))
+                for join in stmt.joins
+            ),
+            where=plan.residual_where,
         )
         final = staging_db.execute_select(processing_stmt)
         processing_seconds = context.compute_model.seconds(
@@ -456,26 +464,23 @@ class BasicEngine:
     ) -> Tuple[Database, int, int]:
         """Build the staging database holding the fetched partitions.
 
-        Tables carry only the pruned column set; the original SQL references
-        exactly those columns by construction of the pushdown planner.
+        One table per binding, named after it, carrying only the pruned
+        column set; the original SQL references exactly those columns by
+        construction of the pushdown planner.
         """
         context = self.context
         staging = Database(f"{context.query_peer.peer_id}-staging")
         spills = 0
         total_rows = 0
-        created: Set[str] = set()
         for local_plan in local_plans:
-            if local_plan.table in created:
-                continue
-            created.add(local_plan.table)
             global_schema = context.schemas[local_plan.table]
             columns = [
                 global_schema.column(name.rsplit(".", 1)[-1])
                 for name in local_plan.columns
             ]
-            staging.create_table(TableSchema(local_plan.table, columns))
+            staging.create_table(TableSchema(local_plan.binding, columns))
             memtable = MemTable(
-                staging.table(local_plan.table),
+                staging.table(local_plan.binding),
                 capacity_bytes=context.config.memtable_capacity_bytes,
             )
             rows = fetched[local_plan.binding]
@@ -537,3 +542,8 @@ class BasicEngine:
             if peer is None or not peer.online:
                 if not self.context.ensure_peer_available(peer_id):
                     raise PeerUnavailableError(peer_id)
+
+
+def _staged_ref(ref: TableRef) -> TableRef:
+    """``ref`` pointed at its binding's staging table, keeping the binding."""
+    return TableRef(ref.binding, ref.binding)

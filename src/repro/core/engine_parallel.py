@@ -102,7 +102,10 @@ class ParallelP2PEngine:
                 columns = columns + stage.right.columns
                 continue
             stream_rows = [row for part in stream for row in part.rows]
-            stream_bytes = records_byte_size(stream_rows)
+            # Each part is priced once per level; every owner's broadcast
+            # (and every resilient retry of it) reuses the sizes.
+            part_sizes = [records_byte_size(part.rows) for part in stream]
+            stream_bytes = sum(part_sizes)
 
             left_layout = RowLayout(columns)
             left_position = left_layout.resolve(stage.left_key)
@@ -127,6 +130,7 @@ class ParallelP2PEngine:
                 def join_at_owner(
                     peer_id: str = peer_id,
                     stream: List[_StreamPart] = stream,
+                    part_sizes: List[int] = part_sizes,
                     stage=stage,
                     residual=residual,
                     stage_prepared: List[object] = stage_prepared,
@@ -135,8 +139,7 @@ class ParallelP2PEngine:
                     # Replicate the full intermediate result to this owner:
                     # one transfer per current part holder.
                     broadcast_seconds = 0.0
-                    for part in stream:
-                        part_bytes = records_byte_size(part.rows)
+                    for part, part_bytes in zip(stream, part_sizes):
                         broadcast_seconds += context.network.transfer(
                             context.peer(part.peer_id).host,
                             owner.host,

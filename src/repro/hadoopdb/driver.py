@@ -23,7 +23,6 @@ from repro.mapreduce.engine import MapReduceEngine
 from repro.mapreduce.job import InputSplit, JobResult, MapReduceJob, SplitData
 from repro.sqlengine.executor import compute_aggregates
 from repro.sqlengine.expr import RowLayout
-from repro.sqlengine.types import records_byte_size
 
 
 @dataclass
@@ -113,11 +112,7 @@ class DistributedPlanDriver:
                 records = local.records
                 if tag is not None:
                     records = [(tag, row) for row in records]
-                return SplitData(
-                    records=records,
-                    local_seconds=local.seconds,
-                    bytes_estimate=records_byte_size(local.records),
-                )
+                return SplitData(records=records, local_seconds=local.seconds)
 
             splits.append(
                 InputSplit(host=host, fetch=fetch, label=local_plan.table)

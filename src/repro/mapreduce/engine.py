@@ -25,7 +25,7 @@ from repro.mapreduce.job import (
 )
 from repro.sim.clock import parallel_duration
 from repro.sim.network import SimNetwork
-from repro.sqlengine.types import records_byte_size, value_byte_size
+from repro.sqlengine.types import records_byte_size
 
 
 @dataclass(frozen=True)
@@ -153,20 +153,24 @@ class MapReduceEngine:
         partitions: List[Dict[object, List[object]]] = [
             {} for _ in range(job.num_reducers)
         ]
-        # Group the wire transfers as (mapper host, reducer index) batches.
-        batch_bytes: Dict[Tuple[str, int], int] = {}
-        total_bytes = 0
+        # Group the wire transfers as (mapper host, reducer index) batches,
+        # each priced in one call.  A pair travels as one record, its key
+        # followed by the value's fields (a non-tuple value is one field).
+        batches: Dict[Tuple[str, int], List[tuple]] = {}
         for host, pairs in map_outputs:
             for key, value in pairs:
                 reducer = self._partition_of(key, job.num_reducers)
                 partitions[reducer].setdefault(key, []).append(value)
-                pair_bytes = value_byte_size(key) + (
-                    records_byte_size([value])
+                batch = batches.get((host, reducer))
+                if batch is None:
+                    batches[(host, reducer)] = batch = []
+                batch.append(
+                    (key,) + value if isinstance(value, tuple) else (key, value)
                 )
-                batch_bytes[(host, reducer)] = (
-                    batch_bytes.get((host, reducer), 0) + pair_bytes
-                )
-                total_bytes += pair_bytes
+        batch_bytes = {
+            target: records_byte_size(batch) for target, batch in batches.items()
+        }
+        total_bytes = sum(batch_bytes.values())
 
         per_reducer_seconds = [0.0] * job.num_reducers
         for (host, reducer), nbytes in sorted(batch_bytes.items()):

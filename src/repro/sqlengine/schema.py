@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import SqlCatalogError
 from repro.sqlengine.types import ColumnType
+
+_is_none = functools.partial(operator.is_, None)
 
 
 @dataclass(frozen=True)
@@ -56,6 +60,9 @@ class TableSchema:
         object.__setattr__(self, "name", name.lower())
         object.__setattr__(self, "columns", columns)
         object.__setattr__(
+            self, "_converters", tuple(c.column_type.convert for c in columns)
+        )
+        object.__setattr__(
             self,
             "primary_key",
             primary_key.lower() if primary_key is not None else None,
@@ -90,6 +97,11 @@ class TableSchema:
                 f"table {self.name!r} expects {len(self.columns)} values, "
                 f"got {len(values)}"
             )
+        if not any(map(_is_none, values)):
+            return tuple([
+                convert(value)
+                for convert, value in zip(self._converters, values)
+            ])
         coerced = []
         for column, value in zip(self.columns, values):
             if value is None and not column.nullable:

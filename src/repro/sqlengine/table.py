@@ -17,7 +17,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 from repro.errors import SqlCatalogError, SqlExecutionError
 from repro.sqlengine.indexes import OrderedIndex
 from repro.sqlengine.schema import TableSchema
-from repro.sqlengine.types import value_byte_size
+from repro.sqlengine.types import ColumnType
 
 
 class Table:
@@ -38,6 +38,17 @@ class Table:
         #: incrementally, destructive mutations drop it.
         self._column_store: Optional[List[List[object]]] = None
         self._column_store_version = -1
+        # row_bytes of a row without NULLs: these fixed column sizes (a
+        # TEXT column's byte_size("") is its 4-byte overhead) plus the
+        # length of each TEXT value.
+        self._fixed_row_bytes = sum(
+            column.column_type.byte_size("") for column in schema.columns
+        )
+        self._text_positions = tuple(
+            position
+            for position, column in enumerate(schema.columns)
+            if column.column_type is ColumnType.TEXT
+        )
         self.indexes: Dict[str, OrderedIndex] = {}
         if schema.primary_key is not None:
             self.create_index(
@@ -54,6 +65,18 @@ class Table:
     def byte_size(self) -> int:
         """Approximate size of all live rows in bytes."""
         return self._byte_size
+
+    def row_bytes(self, row: Tuple[object, ...]) -> int:
+        """Wire size of a coerced row: the sum of its columns' ``byte_size``."""
+        if None in row:
+            return sum(
+                column.column_type.byte_size(value)
+                for column, value in zip(self.schema.columns, row)
+            )
+        size = self._fixed_row_bytes
+        for position in self._text_positions:
+            size += len(str(row[position]))
+        return size
 
     def rows(self) -> Iterator[Tuple[object, ...]]:
         """Iterate live rows in insertion order."""
@@ -110,7 +133,7 @@ class Table:
                     )
         self._rows.append(row)
         self._live_count += 1
-        self._byte_size += self._row_bytes(row)
+        self._byte_size += self.row_bytes(row)
         if self._column_store is not None and self._column_store_version == self.version:
             for column_values, value in zip(self._column_store, row):
                 column_values.append(value)
@@ -129,14 +152,24 @@ class Table:
         bump, and one merge per index — instead of per-row work for each.
         """
         coerced = [self.schema.coerce_row(row) for row in rows]
-        if not coerced:
+        return self.append_coerced(coerced, sum(map(self.row_bytes, coerced)))
+
+    def append_coerced(
+        self, rows: List[Tuple[object, ...]], nbytes: int
+    ) -> List[int]:
+        """Bulk-append rows that already went through ``coerce_row`` and
+        whose ``row_bytes`` sum to ``nbytes``; atomic like :meth:`insert_many`
+        (which coerces, sizes and delegates here).  A :class:`MemTable` spill
+        hands over its buffer this way, so nothing is coerced or sized twice.
+        """
+        if not rows:
             return []
         for index in self.indexes.values():
             if not index.unique:
                 continue
             position = self.schema.column_index(index.column)
             seen = set()
-            for row in coerced:
+            for row in rows:
                 key = row[position]
                 if key is None:
                     continue
@@ -146,19 +179,19 @@ class Table:
                     )
                 seen.add(key)
         first_id = len(self._rows)
-        row_ids = list(range(first_id, first_id + len(coerced)))
-        self._rows.extend(coerced)
-        self._live_count += len(coerced)
-        self._byte_size += sum(self._row_bytes(row) for row in coerced)
+        row_ids = list(range(first_id, first_id + len(rows)))
+        self._rows.extend(rows)
+        self._live_count += len(rows)
+        self._byte_size += nbytes
         if self._column_store is not None and self._column_store_version == self.version:
             for position, column_values in enumerate(self._column_store):
-                column_values.extend(row[position] for row in coerced)
+                column_values.extend(row[position] for row in rows)
             self._column_store_version = self.version + 1
         self.version += 1
         for index in self.indexes.values():
             position = self.schema.column_index(index.column)
             index.insert_many(
-                (row[position], row_id) for row, row_id in zip(coerced, row_ids)
+                (row[position], row_id) for row, row_id in zip(rows, row_ids)
             )
         return row_ids
 
@@ -168,7 +201,7 @@ class Table:
             index.remove(row[self.schema.column_index(index.column)], row_id)
         self._rows[row_id] = None
         self._live_count -= 1
-        self._byte_size -= self._row_bytes(row)
+        self._byte_size -= self.row_bytes(row)
         self._drop_column_store()
         self.version += 1
 
@@ -232,7 +265,7 @@ class Table:
                 index.insert(new_key, row_id)
         for row_id, old, new in zip(row_ids, old_rows, new_rows):
             self._rows[row_id] = new
-            self._byte_size += self._row_bytes(new) - self._row_bytes(old)
+            self._byte_size += self.row_bytes(new) - self.row_bytes(old)
         self._drop_column_store()
         self.version += 1
 
@@ -288,12 +321,6 @@ class Table:
         self._column_store = None
         self._column_store_version = -1
 
-    def _row_bytes(self, row: Tuple[object, ...]) -> int:
-        return sum(
-            column.column_type.byte_size(value)
-            for column, value in zip(self.schema.columns, row)
-        )
-
 
 class MemTable:
     """A bounded in-memory staging buffer for fetched remote tuples.
@@ -323,21 +350,31 @@ class MemTable:
         return self._buffered_bytes
 
     def append(self, values: Sequence[object]) -> None:
-        row = self.backing.schema.coerce_row(values)
-        self._buffer.append(row)
-        self._buffered_bytes += self.backing._row_bytes(row)
-        if self._buffered_bytes >= self.capacity_bytes:
-            self.flush()
+        self.extend((values,))
 
     def extend(self, rows: Sequence[Sequence[object]]) -> None:
-        for row in rows:
-            self.append(row)
+        """Stage ``rows``, each coerced and sized once, here; the buffer
+        spills (as is) each time it reaches capacity.  A row that fails
+        coercion stages nothing of the batch."""
+        staged = list(map(self.backing.schema.coerce_row, rows))
+        sizes = list(map(self.backing.row_bytes, staged))
+        batch_bytes = sum(sizes)
+        if self._buffered_bytes + batch_bytes < self.capacity_bytes:
+            # No row of the batch fills the buffer: no per-row walk.
+            self._buffer.extend(staged)
+            self._buffered_bytes += batch_bytes
+            return
+        for row, size in zip(staged, sizes):
+            self._buffer.append(row)
+            self._buffered_bytes += size
+            if self._buffered_bytes >= self.capacity_bytes:
+                self.flush()
 
     def flush(self) -> int:
         """Bulk-insert the buffer into the backing table; returns row count."""
         flushed = len(self._buffer)
         if flushed:
-            self.backing.insert_many(self._buffer)
+            self.backing.append_coerced(self._buffer, self._buffered_bytes)
             self._buffer.clear()
             self._buffered_bytes = 0
             self.spill_count += 1

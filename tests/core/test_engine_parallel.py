@@ -94,3 +94,29 @@ class TestParallelBehaviour:
     def test_contacts_all_owner_peers(self, network):
         execution = network.execute(Q5(), engine="parallel")
         assert execution.peers_contacted == NUM_PEERS
+
+    def test_each_stream_part_sized_once_per_level(self, monkeypatch):
+        """Q3 at 4 peers: the 4 base parts are priced once for the join
+        level (not once per receiving owner), the 4 joined parts once for
+        the final collect."""
+        from repro.core import engine_parallel
+
+        peers = 4
+        net = BestPeerNetwork(TPCH_SCHEMAS, SECONDARY_INDICES)
+        generator = TpchGenerator(seed=17)
+        for index in range(peers):
+            net.add_peer(f"corp-{index}")
+            net.load_peer(f"corp-{index}", generator.generate_peer(index))
+        sized = []
+        records_byte_size = engine_parallel.records_byte_size
+
+        def counted(records):
+            sized.append(records)
+            return records_byte_size(records)
+
+        monkeypatch.setattr(engine_parallel, "records_byte_size", counted)
+        execution = net.execute(Q3(), engine="parallel")
+        assert execution.peers_contacted == peers
+        assert len(sized) == 2 * peers
+        for position, records in enumerate(sized):
+            assert not any(records is other for other in sized[position + 1:])

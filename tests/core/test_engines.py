@@ -4,6 +4,8 @@ Correctness oracle: a single local database holding the union of all peers'
 partitions must agree with every engine on every benchmark query.
 """
 
+import sqlite3
+
 import pytest
 
 from repro.core import BestPeerNetwork
@@ -50,6 +52,24 @@ def oracle():
     return db
 
 
+@pytest.fixture(scope="module")
+def sqlite_oracle():
+    """Every peer's rows (each peer holds its own nation and region copy)
+    in stdlib sqlite3, an engine independent of this one."""
+    conn = sqlite3.connect(":memory:")
+    generator = TpchGenerator(seed=11)
+    for table, schema in TPCH_SCHEMAS.items():
+        conn.execute(f"CREATE TABLE {table} ({', '.join(schema.column_names)})")
+    for index in range(NUM_PEERS):
+        for table, rows in generator.generate_peer(index).items():
+            width = len(TPCH_SCHEMAS[table].columns)
+            conn.executemany(
+                f"INSERT INTO {table} VALUES ({', '.join('?' * width)})", rows
+            )
+    yield conn
+    conn.close()
+
+
 def _sorted(rows):
     return sorted(rows, key=repr)
 
@@ -93,6 +113,23 @@ class TestCorrectnessAcrossEngines:
         for got, want in zip(execution.records, expected.rows):
             assert got[0] == want[0]
             assert got[1] == pytest.approx(want[1])
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_self_join_reads_each_binding(self, network, sqlite_oracle, engine):
+        """Two bindings of one table must each see their own pushed-down
+        rows (n1 = FRANCE, n2 = IRAQ), not share one staged copy."""
+        sql = (
+            "SELECT n1.n_name, n2.n_name, COUNT(*) "
+            "FROM supplier, nation n1, nation n2 "
+            "WHERE s_nationkey = n1.n_nationkey "
+            "AND n1.n_regionkey = n2.n_regionkey "
+            "AND n1.n_name = 'FRANCE' AND n2.n_name = 'IRAQ' "
+            "GROUP BY n1.n_name, n2.n_name"
+        )
+        execution = network.execute(sql, engine=engine, user="bench")
+        expected = sqlite_oracle.execute(sql).fetchall()
+        assert expected and expected[0][:2] == ("FRANCE", "IRAQ")
+        assert _sorted(execution.records) == _sorted(expected)
 
     def test_adaptive_matches_oracle_on_q5(self, network, oracle):
         execution = network.execute(Q5(), engine="adaptive")

@@ -1,5 +1,6 @@
 """Property-based tests for the relational engine's core invariants."""
 
+import enum
 from collections import Counter
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.sqlengine import Column, ColumnType, Database, TableSchema
 from repro.sqlengine.indexes import OrderedIndex
+from repro.sqlengine.types import records_byte_size, value_byte_size
 
 
 # ----------------------------------------------------------------------
@@ -202,3 +204,81 @@ class TestThreeValuedLogic:
         layout = RowLayout(["x"])
         value = UnaryOp("not", UnaryOp("not", Literal(p))).evaluate((0,), layout)
         assert value == p
+
+
+# ----------------------------------------------------------------------
+# The batch sizer equals the per-value sum on every batch shape
+# ----------------------------------------------------------------------
+class Colour(enum.IntEnum):
+    RED = 1
+    GREEN = 22
+
+
+class Shout(str):
+    """A str subclass whose ``str()`` is longer than the string itself."""
+
+    def __str__(self):
+        return self.upper() + "!!"
+
+
+scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(2**80), max_value=2**80),
+    st.floats(),
+    st.sampled_from(list(Colour)),
+    st.text(max_size=8),
+    st.text(max_size=8).map(Shout),
+    st.dates(),
+)
+values = st.one_of(scalars, st.tuples(scalars, scalars))
+# One kind per column, so regular batches reach every columnar branch.
+column_kinds = st.sampled_from([
+    st.integers(),
+    st.floats(),
+    st.booleans(),
+    st.text(max_size=8),
+    st.one_of(st.none(), st.text(max_size=8)),
+    st.one_of(st.none(), st.integers(), st.floats()),
+    st.none(),
+    st.dates(),
+    st.one_of(st.none(), st.dates()),
+    st.tuples(st.sampled_from(["L", "R"]), st.tuples(st.integers(), scalars)),
+    st.sampled_from(list(Colour)),
+    st.text(max_size=8).map(Shout),
+    st.one_of(st.integers(), st.text(max_size=8)),
+    values,
+])
+
+
+@st.composite
+def regular_batches(draw):
+    kinds = draw(st.lists(column_kinds, max_size=4))
+    count = draw(st.integers(min_value=0, max_value=40))
+    columns = [
+        draw(st.lists(kind, min_size=count, max_size=count)) for kind in kinds
+    ]
+    return list(zip(*columns)) if columns else [()] * count
+
+
+batches = st.one_of(
+    regular_batches(),
+    st.lists(st.lists(values, max_size=4).map(tuple), max_size=30),
+    st.lists(values, max_size=30),
+    st.lists(st.one_of(values, st.tuples(values, values)), max_size=30),
+)
+
+
+def per_value_bytes(batch):
+    return sum(
+        value_byte_size(value)
+        for record in batch
+        for value in (record if isinstance(record, tuple) else (record,))
+    )
+
+
+class TestRecordsByteSize:
+    @settings(max_examples=300, deadline=None)
+    @given(batches)
+    def test_equals_per_value_sum(self, batch):
+        assert records_byte_size(batch) == per_value_bytes(batch)

@@ -222,6 +222,103 @@ class TestMemTable:
         with pytest.raises(SqlExecutionError):
             MemTable(make_table(), capacity_bytes=0)
 
+    # Each [i, float(i), "row"] row is 8 + 8 + (3 + 4) = 23 bytes, so a
+    # 64-byte buffer fills (69 >= 64) on every third row.
+    def test_exact_spills_row_by_row(self):
+        table = make_table(primary_key=None)
+        mem = MemTable(table, capacity_bytes=64)
+        sizes = []
+        for i in range(10):
+            mem.append([i, float(i), "row"])
+            sizes.append(len(table))
+        assert sizes == [0, 0, 3, 3, 3, 6, 6, 6, 9, 9]
+        assert mem.spill_count == 3
+        assert mem.buffered_rows == 1
+        assert mem.buffered_bytes == 23
+        assert mem.flush() == 1
+        assert mem.spill_count == 4
+
+    def test_exact_spills_in_one_batch(self):
+        table = make_table(primary_key=None)
+        spilled = []
+        append_coerced = table.append_coerced
+
+        def spy(rows, nbytes):
+            spilled.append((len(rows), nbytes))
+            return append_coerced(rows, nbytes)
+
+        table.append_coerced = spy
+        mem = MemTable(table, capacity_bytes=64)
+        mem.extend([[i, float(i), "row"] for i in range(10)])
+        assert spilled == [(3, 69), (3, 69), (3, 69)]
+        assert mem.buffered_rows == 1
+        mem.flush()
+        assert spilled[-1] == (1, 23)
+        assert mem.spill_count == 4
+        assert [row[0] for row in table.rows()] == list(range(10))
+
+    def test_batch_below_capacity_does_not_spill(self):
+        table = make_table(primary_key=None)
+        mem = MemTable(table, capacity_bytes=70)
+        mem.extend([[i, float(i), "row"] for i in range(3)])
+        assert mem.spill_count == 0
+        assert mem.buffered_bytes == 69
+        mem.extend([[3, 3.0, "a"]])
+        assert mem.spill_count == 1
+        assert len(table) == 4
+
+    def test_coerces_each_staged_row_once(self, monkeypatch):
+        calls = []
+        coerce_row = TableSchema.coerce_row
+
+        def counted(schema, values):
+            calls.append(values)
+            return coerce_row(schema, values)
+
+        monkeypatch.setattr(TableSchema, "coerce_row", counted)
+        table = make_table(primary_key=None)
+        mem = MemTable(table, capacity_bytes=64)
+        mem.extend([[i, i, "row"] for i in range(10)])
+        mem.flush()
+        assert len(calls) == 10
+        # Coerced once, on the way in: the int prices became floats.
+        assert [row[1] for row in table.rows()] == [float(i) for i in range(10)]
+
+    def test_not_null_violation_raises(self):
+        mem = MemTable(make_table(), capacity_bytes=10**9)
+        with pytest.raises(SqlCatalogError):
+            mem.extend([[1, 1.0, "x"], [None, 2.0, "y"]])
+
+    def test_duplicate_key_across_a_flush_leaves_table_unchanged(self):
+        table = make_table()
+        mem = MemTable(table, capacity_bytes=10**9)
+        mem.extend([[1, 1.0, "x"], [2, 2.0, "y"]])
+        mem.flush()
+        before = (list(table.rows()), len(table), table.byte_size, table.version)
+        mem.extend([[3, 3.0, "z"], [1, 9.0, "dup"]])
+        with pytest.raises(SqlExecutionError):
+            mem.flush()
+        after = (list(table.rows()), len(table), table.byte_size, table.version)
+        assert after == before
+        assert mem.spill_count == 1
+
+    def test_byte_size_after_flush_is_sum_of_row_bytes(self):
+        table = make_table(primary_key=None)
+        mem = MemTable(table, capacity_bytes=50)
+        mem.extend(
+            [[1, 1.0, "a"], [2, None, "longer label"], [3, 3.0, None], [4, 4, ""]]
+        )
+        mem.flush()
+        rows = list(table.rows())
+        assert table.byte_size == sum(table.row_bytes(row) for row in rows)
+        # row_bytes is the per-column ColumnType.byte_size sum.
+        assert table.byte_size == sum(
+            column.column_type.byte_size(value)
+            for row in rows
+            for column, value in zip(table.schema.columns, row)
+        )
+        assert table.byte_size == 21 + 25 + 17 + 20
+
 
 class TestColumnStore:
     def test_column_data_transposes_live_rows(self):
