@@ -55,7 +55,11 @@ inference (:mod:`repro.analysis.effects`), which assigns every function a
 ``{wallclock, global_random, real_io, network_send, mutates, raises}``
 signature by SCC fixpoint over the call graph; query it directly with
 ``python -m repro.analysis effects --who-touches clock``.  RES004 solves
-its escape question over the same per-function effect bases.  Every
+its escape question over the same per-function summaries.  The value-flow
+and effects tiers read one record per function
+(:class:`~repro.analysis.effects.FunctionSummary`), built by one walk of
+its body and cached per module; functions are enumerated, and named, by
+:func:`~repro.analysis.projectgraph.iter_scopes` alone.  Every
 interprocedural propagation — the effect and escape fixpoints, witness
 chains, the value-flow taint search and the graph's reachability queries
 — runs on one core, :mod:`repro.analysis.fixpoint`.

@@ -344,7 +344,6 @@ def _witness_dicts(inference, hops) -> List[dict]:
 
 def effects_main(argv: List[str]) -> int:
     from repro.analysis.effects import (
-        EFFECT_TAG,
         EffectInference,
         dotted_qual,
         parse_dotted_qual,
@@ -359,7 +358,8 @@ def effects_main(argv: List[str]) -> int:
         inference = EffectInference.for_graph(graph)
 
         lines: List[str] = []
-        payload: dict = {"version": EFFECT_TAG}
+        # The report's format version; the summary cache has its own tag.
+        payload: dict = {"version": "effects1"}
         if args.signature:
             qual = parse_dotted_qual(args.signature, inference.bases)
             if qual is None:

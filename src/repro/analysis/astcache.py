@@ -77,8 +77,8 @@ class AstCache:
     def load_aux(self, source: str, tag: str) -> Optional[object]:
         """Load a derived artifact keyed by the same source content.
 
-        ``tag`` namespaces the artifact (e.g. the dataflow summaries use
-        ``flow1``), so a format bump invalidates by renaming, never by
+        ``tag`` namespaces the artifact (e.g. the per-function summaries
+        use ``summary1``), so a format bump invalidates by renaming, never by
         clashing.  Any failure returns None — aux entries are as
         best-effort as the parse trees.
         """

@@ -122,8 +122,8 @@ def _run_project_rules(
 
     The graph always covers everything scanned; a rule's ``categories``
     only filter which files' findings are *emitted*.  The AST cache rides
-    along on the graph so derived artifacts (the per-function dataflow
-    summaries) persist beside the parse trees.
+    along on the graph so derived artifacts (the per-function summaries)
+    persist beside the parse trees.
     """
     if not rules or not contexts:
         return []

@@ -19,7 +19,7 @@ on such a path.  The finding's trace is the shortest witness chain down to
 the primitive that raises, chosen after convergence.
 
 Nothing here walks an AST: handler contexts and ``raise`` sites come from
-the effects tier's per-function :class:`~repro.analysis.effects.EffectBase`,
+the per-function :class:`~repro.analysis.effects.FunctionSummary`,
 primitive and wrapper calls from the graph's call sites, classified as
 RES001 classifies them.  A handler catches the family when it names
 ``NetworkError`` or one of its bases (the class-hierarchy check effect
@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List, Tuple
 
-from repro.analysis.effects import catches, compute_effect_bases
+from repro.analysis.effects import catches, compute_summaries
 from repro.analysis.findings import Finding, Severity
 from repro.analysis.fixpoint import bfs, path_to, solve
 from repro.analysis.projectgraph import CallSite, ProjectGraph
@@ -110,7 +110,7 @@ class ExceptionEscapeRule(ProjectRule):
     )
 
     def check_project(self, graph: ProjectGraph) -> Iterator[Finding]:
-        bases, class_bases = compute_effect_bases(graph)
+        bases, class_bases = compute_summaries(graph)
         hierarchy = dict(class_bases)
         for cls, extra in _BUILTIN_BASES.items():
             hierarchy[cls] = hierarchy.get(cls, frozenset()) | extra

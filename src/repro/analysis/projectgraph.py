@@ -31,7 +31,7 @@ and every export is sorted before emission.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.asthelpers import ImportMap
@@ -115,6 +115,55 @@ class FunctionNode:
     name: str
     cls: Optional[str]
     lineno: int
+    #: The lexically enclosing function scope (None for ``<module>``).
+    parent: Optional[str] = None
+    #: The class ``self`` names in this scope: the defining class for a
+    #: method, the enclosing method's class for a closure.
+    method_cls: Optional[str] = None
+
+
+#: Nodes that hold statement blocks — the only places a def can sit.
+_BLOCK_NODES = (ast.stmt, ast.excepthandler) + tuple(
+    getattr(ast, name) for name in ("match_case",) if hasattr(ast, name)
+)
+
+
+def iter_scopes(
+    module_name: str, tree: ast.Module
+) -> Iterator[Tuple[FunctionNode, ast.AST]]:
+    """Every function scope of one module with its node — the module
+    pseudo-function (lineno 0, node ``tree``) first, then each def in
+    source order.  The one home of the qualname scheme: a def is named by
+    the dotted path of the defs and classes around it
+    (``mod:Outer.Inner.method``, ``mod:func.Local.meth``).  Class bodies
+    are not scopes; their code runs in the enclosing function."""
+    module_scope = f"{module_name}:{MODULE_SCOPE}"
+    yield FunctionNode(module_scope, module_name, MODULE_SCOPE, None, 0), tree
+    # (node, dotted path, class whose body holds it, enclosing function
+    # scope, class ``self`` names there), popped in source order.
+    stack: List[Tuple[ast.AST, str, Optional[str], str, Optional[str]]] = [
+        (child, "", None, module_scope, None)
+        for child in reversed(tree.body)
+    ]
+    while stack:
+        node, path, direct_cls, parent, method_cls = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            path = f"{path}{node.name}."
+            qual = f"{module_name}:{path[:-1]}"
+            method_cls = direct_cls if direct_cls is not None else method_cls
+            yield FunctionNode(
+                qual, module_name, node.name, direct_cls, node.lineno,
+                parent, method_cls,
+            ), node
+            direct_cls, parent = None, qual
+        elif isinstance(node, ast.ClassDef):
+            path = f"{path}{node.name}."
+            direct_cls = node.name
+        stack.extend(
+            (child, path, direct_cls, parent, method_cls)
+            for child in reversed(list(ast.iter_child_nodes(node)))
+            if isinstance(child, _BLOCK_NODES)  # defs sit in blocks only
+        )
 
 
 @dataclass
@@ -205,12 +254,11 @@ class ProjectGraph:
         self.reverse_precise_edges: Dict[str, Set[str]] = {}
         # resolution indexes
         self._defs_in_scope: Dict[str, Dict[str, str]] = {}
-        self._parent_scope: Dict[str, Optional[str]] = {}
         self._classes: Dict[str, Dict[str, Dict[str, str]]] = {}
         self._methods_by_name: Dict[str, Set[str]] = {}
         self._import_maps: Dict[str, ImportMap] = {}
         #: Optional AstCache the engine attaches so downstream analyses
-        #: (the dataflow summaries) can persist per-module artifacts.
+        #: (the per-function summaries) can persist per-module artifacts.
         self.ast_cache = None
         #: Per-run scratch space for analyses memoized on this graph.
         self.memo: Dict[str, object] = {}
@@ -247,51 +295,20 @@ class ProjectGraph:
     def _module_scope(self, module_name: str) -> str:
         return f"{module_name}:{MODULE_SCOPE}"
 
-    def _add_function(self, node: FunctionNode) -> None:
-        self.functions[node.qualname] = node
-        self._defs_in_scope.setdefault(node.qualname, {})
-
     def _collect_defs(self, mod: ModuleNode) -> None:
-        scope = self._module_scope(mod.name)
-        self._add_function(
-            FunctionNode(scope, mod.name, MODULE_SCOPE, None, 0)
-        )
-        self._parent_scope[scope] = None
-        self._classes.setdefault(mod.name, {})
-
-        def walk(
-            node: ast.AST,
-            path: List[str],
-            direct_cls: Optional[str],
-            res_scope: str,
-        ) -> None:
-            for child in ast.iter_child_nodes(node):
-                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    qual = f"{mod.name}:{'.'.join(path + [child.name])}"
-                    self._add_function(
-                        FunctionNode(
-                            qual, mod.name, child.name, direct_cls, child.lineno
-                        )
-                    )
-                    self._parent_scope[qual] = res_scope
-                    if direct_cls is None:
-                        self._defs_in_scope.setdefault(res_scope, {})[
-                            child.name
-                        ] = qual
-                    else:
-                        self._classes[mod.name].setdefault(direct_cls, {})[
-                            child.name
-                        ] = qual
-                        self._methods_by_name.setdefault(
-                            child.name, set()
-                        ).add(qual)
-                    walk(child, path + [child.name], None, qual)
-                elif isinstance(child, ast.ClassDef):
-                    walk(child, path + [child.name], child.name, res_scope)
-                else:
-                    walk(child, path, direct_cls, res_scope)
-
-        walk(mod.tree, [], None, scope)
+        classes = self._classes.setdefault(mod.name, {})
+        for fn, _ in iter_scopes(mod.name, mod.tree):
+            self.functions[fn.qualname] = fn
+            self._defs_in_scope.setdefault(fn.qualname, {})
+            if fn.parent is None:
+                continue
+            if fn.cls is None:
+                self._defs_in_scope[fn.parent][fn.name] = fn.qualname
+            else:
+                classes.setdefault(fn.cls, {})[fn.name] = fn.qualname
+                self._methods_by_name.setdefault(fn.name, set()).add(
+                    fn.qualname
+                )
 
     # ------------------------------------------------------------------
     # imports
@@ -362,7 +379,8 @@ class ProjectGraph:
         current: Optional[str] = scope
         while current is not None:
             yield current
-            current = self._parent_scope.get(current)
+            node = self.functions.get(current)
+            current = node.parent if node is not None else None
 
     def _resolve_bare_name(
         self, name: str, scope: str, module: str
@@ -450,44 +468,25 @@ class ProjectGraph:
         return None
 
     def _collect_calls(self, mod: ModuleNode) -> None:
-        module_scope = self._module_scope(mod.name)
+        for fn, node in iter_scopes(mod.name, mod.tree):
+            self._collect_scope_calls(node, fn, mod)
 
-        def walk(
-            node: ast.AST,
-            scope: str,
-            path: List[str],
-            direct_cls: Optional[str],
-            method_cls: Optional[str],
-        ) -> None:
-            # ``path``: the qualname path of defs and classes we are in, as
-            # in ``_collect_defs``; ``direct_cls``: class whose body we are
-            # lexically inside; ``method_cls``: class of the *method
-            # scope* we are executing in (decides what ``self`` is).
-            for child in ast.iter_child_nodes(node):
-                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    walk(
-                        child,
-                        f"{mod.name}:{'.'.join(path + [child.name])}",
-                        path + [child.name],
-                        None,
-                        direct_cls if direct_cls is not None else method_cls,
-                    )
-                    continue
-                if isinstance(child, ast.ClassDef):
-                    walk(
-                        child, scope, path + [child.name], child.name,
-                        method_cls,
-                    )
-                    continue
-                if isinstance(child, ast.Call):
-                    self._record_call(child, scope, method_cls, mod)
-                elif isinstance(child, ast.Assign):
-                    self._record_attr_assigns(child, scope, mod)
-                elif isinstance(child, (ast.AugAssign, ast.Delete)):
-                    self._record_other_mutations(child, scope, mod)
-                walk(child, scope, path, direct_cls, method_cls)
-
-        walk(mod.tree, module_scope, [], None, None)
+    def _collect_scope_calls(
+        self, node: ast.AST, fn: FunctionNode, mod: ModuleNode
+    ) -> None:
+        """Record the calls and mutations under ``node`` that run in scope
+        ``fn``: everything but nested defs (class and lambda bodies
+        included), in source order."""
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if isinstance(child, ast.Call):
+                self._record_call(child, fn.qualname, fn.method_cls, mod)
+            elif isinstance(child, ast.Assign):
+                self._record_attr_assigns(child, fn.qualname, mod)
+            elif isinstance(child, (ast.AugAssign, ast.Delete)):
+                self._record_other_mutations(child, fn.qualname, mod)
+            self._collect_scope_calls(child, fn, mod)
 
     def _record_call(
         self,

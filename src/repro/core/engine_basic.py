@@ -31,7 +31,7 @@ from repro.core.bloom import build_filter
 from repro.core.execution import EngineContext, QueryExecution, makespan
 from repro.core.indexer import PeerLookup
 from repro.core.predicates import range_constraint
-from repro.errors import PeerUnavailableError, SqlCatalogError
+from repro.errors import SqlCatalogError
 from repro.hadoopdb.driver import (
     aggregate_records,
     finalize_records,
@@ -77,7 +77,7 @@ class BasicEngine:
         all_peers: Set[str] = set()
         for lookup in lookups.values():
             all_peers.update(lookup.peers)
-        self._require_online(all_peers)
+        self.context.require_online(sorted(all_peers))
 
         # The single-peer optimization ships the *original* SQL, so no
         # per-row access rewriting can happen; it only applies when the
@@ -526,22 +526,6 @@ class BasicEngine:
     ) -> Optional[Tuple[str, object, object]]:
         """The first ``col <op> literal`` constraint over this table."""
         return range_constraint(self.context.schemas[local_plan.table], conjuncts)
-
-    # ------------------------------------------------------------------
-    # Availability (strong consistency, §3.2)
-    # ------------------------------------------------------------------
-    def _require_online(self, peer_ids: Set[str]) -> None:
-        """Recover crashed data owners before fanning the query out.
-
-        With a resilience context installed the recovery happens here, at
-        sub-query granularity; without one the historical behaviour stands:
-        raise and let the facade block on fail-over, then retry the query.
-        """
-        for peer_id in sorted(peer_ids):
-            peer = self.context.peers.get(peer_id)
-            if peer is None or not peer.online:
-                if not self.context.ensure_peer_available(peer_id):
-                    raise PeerUnavailableError(peer_id)
 
 
 def _staged_ref(ref: TableRef) -> TableRef:

@@ -14,11 +14,11 @@ trade-off the cost model (Eq. 8) prices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Set
 
 from repro.core.execution import EngineContext, QueryExecution
 from repro.core.indexer import PeerLookup
-from repro.errors import BestPeerError, PeerUnavailableError
+from repro.errors import BestPeerError
 from repro.hadoopdb.driver import aggregate_records, finalize_records
 from repro.hadoopdb.sms import SmsPlanner
 from repro.sim.clock import parallel_duration
@@ -58,7 +58,7 @@ class ParallelP2PEngine:
             lookup = context.indexer.locate(local_plan.table)
             lookups[local_plan.binding] = lookup
             index_hops += lookup.hops
-            self._require_online(lookup.peers)
+            context.require_online(lookup.peers)
 
         bytes_transferred = 0
         peers_contacted: Set[str] = set()
@@ -238,10 +238,3 @@ class ParallelP2PEngine:
                 for i, seconds in enumerate(level_seconds)
             },
         )
-
-    def _require_online(self, peer_ids: Sequence[str]) -> None:
-        for peer_id in peer_ids:
-            peer = self.context.peers.get(peer_id)
-            if peer is None or not peer.online:
-                if not self.context.ensure_peer_available(peer_id):
-                    raise PeerUnavailableError(peer_id)

@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Iterable, List
 
 from repro.core.config import BestPeerConfig
 from repro.core.indexer import DataIndexer
 from repro.core.peer import NormalPeer
 from repro.core.resilience import ResilienceContext
-from repro.errors import BestPeerError
+from repro.errors import BestPeerError, PeerUnavailableError
 from repro.sim.compute import ComputeModel
 from repro.sim.network import SimNetwork
 from repro.sqlengine.schema import TableSchema
@@ -26,7 +26,7 @@ class EngineContext:
     schemas: Dict[str, TableSchema]
     config: BestPeerConfig
     compute_model: ComputeModel
-    resilience: Optional[ResilienceContext] = None
+    resilience: ResilienceContext
 
     def peer(self, peer_id: str) -> NormalPeer:
         peer = self.peers.get(peer_id)
@@ -40,20 +40,22 @@ class EngineContext:
         return hops * (config.latency_s + config.per_message_overhead_s)
 
     def call_resilient(self, peer_id: str, fn: Callable[[], object]) -> object:
-        """Run a per-peer operation under the retry/breaker/fail-over layer.
-
-        Without a resilience context (engines constructed standalone) the
-        operation runs bare, preserving the original fail-fast behaviour.
-        """
-        if self.resilience is None:
-            return fn()
+        """Run a per-peer operation under the retry/breaker/fail-over layer."""
         return self.resilience.call(peer_id, fn)
 
     def ensure_peer_available(self, peer_id: str) -> bool:
         """Recover a crashed peer before fanning a query out to it."""
-        if self.resilience is None:
-            return False
         return self.resilience.ensure_available(peer_id)
+
+    def require_online(self, peer_ids: Iterable[str]) -> None:
+        """Recover crashed data owners, in the given order, before the
+        query fans out to them (strong consistency, §3.2); raise
+        :class:`PeerUnavailableError` for one that cannot be recovered."""
+        for peer_id in peer_ids:
+            peer = self.peers.get(peer_id)
+            if peer is None or not peer.online:
+                if not self.ensure_peer_available(peer_id):
+                    raise PeerUnavailableError(peer_id)
 
 
 @dataclass

@@ -110,10 +110,9 @@ _CONVERTERS = {
 }
 
 
-def value_byte_size(value: object, column_type: Optional[ColumnType] = None) -> int:
-    """Size of ``value`` in bytes; infers the type when not supplied."""
-    if column_type is not None:
-        return column_type.byte_size(value)
+def value_byte_size(value: object) -> int:
+    """Size of ``value`` in bytes, its type inferred from the value (a typed
+    column prices through :meth:`ColumnType.byte_size`)."""
     if value is None:
         return 1
     if isinstance(value, (int, float)):

@@ -9,12 +9,11 @@ import pytest
 from repro.analysis import analyze_project
 from repro.analysis.astcache import AstCache
 from repro.analysis.effects import (
-    EFFECT_TAG,
+    SUMMARY_TAG,
     EffectInference,
     EffectSignature,
     class_name_tokens,
-    compute_effect_bases,
-    extract_module_effects,
+    compute_summaries,
     parse_dotted_qual,
     receiver_name_tokens,
 )
@@ -365,7 +364,7 @@ class TestWitness:
 
 
 class TestCaching:
-    def test_bases_persist_under_effect_tag(self, graph_of, tmp_path):
+    def test_summaries_persist_under_summary_tag(self, graph_of, tmp_path):
         files = {
             "proj/mod.py": """
                 import time
@@ -377,16 +376,34 @@ class TestCaching:
         graph = graph_of(files)
         cache = AstCache(str(tmp_path))
         graph.ast_cache = cache
-        bases, _ = compute_effect_bases(graph)
+        bases, _ = compute_summaries(graph)
         source = "\n".join(graph.modules["proj.mod"].lines)
-        assert cache.load_aux(source, EFFECT_TAG) is not None
+        assert cache.load_aux(source, SUMMARY_TAG) is not None
 
         # A second graph over the same source hits the cache.
         graph2 = graph_of(files)
         graph2.ast_cache = cache
-        bases2, _ = compute_effect_bases(graph2)
+        bases2, _ = compute_summaries(graph2)
         assert sorted(bases2) == sorted(bases)
         assert bases2["proj.mod:t"].intrinsics[0].atom == ("wallclock",)
+        assert bases2["proj.mod:t"].calls == bases["proj.mod:t"].calls
+
+    def test_loop_body_sites_are_recorded_once(self, graph_of):
+        # The walk interprets loop bodies twice for flow; each intrinsic
+        # site still lands in the summary once.
+        graph = graph_of({
+            "proj/mod.py": """
+                import time
+
+                def poll(items):
+                    for item in items:
+                        while item:
+                            item = time.monotonic()
+            """,
+        })
+        summaries, _ = compute_summaries(graph)
+        sites = summaries["proj.mod:poll"].intrinsics
+        assert [site.text for site in sites] == ["time.monotonic(...)"]
 
     def test_inference_is_memoized_per_graph(self, graph_of):
         graph = graph_of({"proj/mod.py": "def f():\n    return 1\n"})

@@ -1,7 +1,6 @@
 """The whole-program import/call graph the interprocedural rules share."""
 
-from repro.analysis.dataflow import compute_flows
-from repro.analysis.effects import compute_effect_bases
+from repro.analysis.effects import compute_summaries
 from repro.analysis.projectgraph import (
     MODULE_SCOPE,
     module_name_for_path,
@@ -64,8 +63,12 @@ class TestNaming:
         names = set(graph.functions)
         assert "proj.mod:Top.Nested.deep" in names
         assert "proj.mod:outer.Local.meth" in names
-        assert names == set(compute_flows(graph)) == set(
-            compute_effect_bases(graph)[0]
+        summaries, _ = compute_summaries(graph)
+        assert names == set(summaries)
+        # One record per function carries the flow and the effect fields.
+        assert all(
+            {"succ", "calls", "attr_reads", "intrinsics", "call_catches"}
+            <= vars(summary).keys() for summary in summaries.values()
         )
         assert {site.caller for site in graph.call_sites} <= names
 

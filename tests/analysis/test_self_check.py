@@ -22,13 +22,10 @@ def _run(*argv):
     )
 
 
-def test_repo_is_clean_under_all_rules():
-    """``python -m repro.analysis src tests benchmarks`` exits 0."""
-    proc = _run("src", "tests", "benchmarks")
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-
-
 def test_repo_is_clean_in_json_mode_with_no_stale_baseline():
+    """``python -m repro.analysis src tests benchmarks`` exits 0 with no
+    findings and no stale baseline entry (text rendering of a clean tree
+    is covered by ``test_cli.py::test_clean_tree_exits_zero``)."""
     proc = _run("src", "tests", "benchmarks", "--json", "--strict-baseline")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     payload = json.loads(proc.stdout)

@@ -66,6 +66,49 @@ class TestPositive:
             """,
         )
 
+    def test_wall_clock_pushed_in_a_match_case_fires(self, reported):
+        findings = reported(
+            "SIM005",
+            """\
+            import time
+
+            def kickoff(queue, kind):
+                match kind:
+                    case 'boot':
+                        queue.push(time.time() + 5, 'boot')
+            """,
+        )
+        assert len(findings) == 1
+        assert "event-queue timestamp" in findings[0].message
+
+    def test_wall_clock_pushed_in_a_nested_class_body_fires(self, reported):
+        findings = reported(
+            "SIM005",
+            """\
+            import time
+
+            def kickoff(queue):
+                class Boot:
+                    queue.push(time.time() + 5, 'boot')
+                return Boot
+            """,
+        )
+        assert len(findings) == 1
+        assert "event-queue timestamp" in findings[0].message
+
+    def test_wall_clock_pushed_in_a_lambda_body_fires(self, reported):
+        findings = reported(
+            "SIM005",
+            """\
+            import time
+
+            def kickoff(queue):
+                return lambda: queue.push(time.time() + 5, 'boot')
+            """,
+        )
+        assert len(findings) == 1
+        assert "event-queue timestamp" in findings[0].message
+
 
 class TestNegative:
     def test_sim_clock_is_clean(self, reported):

@@ -104,4 +104,6 @@ class TestByteSizes:
         assert value_byte_size("abc") == 7
 
     def test_value_byte_size_with_explicit_type(self):
-        assert value_byte_size("1998-11-05", ColumnType.DATE) == 10
+        # A typed DATE prices 10 bytes; the inferred string would be 14.
+        assert ColumnType.DATE.byte_size("1998-11-05") == 10
+        assert value_byte_size("1998-11-05") == 14
