@@ -87,7 +87,7 @@ from repro.analysis.projectgraph import (
 )
 
 #: Bump when :class:`FunctionSummary` or what the walk records changes.
-SUMMARY_VERSION = 1
+SUMMARY_VERSION = 2
 #: Aux-cache tag under which per-module summaries are pickled.
 SUMMARY_TAG = f"summary{SUMMARY_VERSION}"
 
@@ -486,15 +486,6 @@ class _Summarizer:
     def _snapshot(self) -> Dict[str, Set[Node]]:
         return {k: set(v) for k, v in self.env.items()}
 
-    def _eval_unrecorded(self, node: Optional[ast.expr]) -> Set[Node]:
-        """Evaluate for flow only.  Calls inside store targets and handler
-        types are neither effect sites nor guarded calls — a known gap:
-        ``self.d.setdefault(k, {})[j] = v`` mutates ``self.d`` unseen."""
-        recording, self.recording = self.recording, False
-        nodes = self.eval(node)
-        self.recording = recording
-        return nodes
-
     def _add(
         self,
         node: ast.AST,
@@ -853,12 +844,12 @@ class _Summarizer:
                 self._edges(nodes, ("cell", target.attr))
             else:
                 # Writing into an object taints the object (smashed).
-                for base_node in self._eval_unrecorded(base):
+                for base_node in self.eval(base):
                     self._edges(nodes, base_node)
         elif isinstance(target, ast.Subscript):
-            for base_node in self._eval_unrecorded(target.value):
+            for base_node in self.eval(target.value):
                 self._edges(nodes, base_node)
-            self._eval_unrecorded(target.slice)
+            self.eval(target.slice)
 
     def _exec_assign(
         self, targets: Sequence[ast.expr], value: ast.expr
@@ -934,7 +925,7 @@ class _Summarizer:
                 if isinstance(target, ast.Name):
                     self.env.pop(target.id, None)
                 else:
-                    self._eval_unrecorded(target)
+                    self.eval(target)
         elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
             args = stmt.args
             for expr in stmt.decorator_list + args.defaults + [
@@ -1022,7 +1013,7 @@ class _Summarizer:
         body_must = set(self.must)
         for handler in stmt.handlers:
             self.env = {k: set(v) for k, v in handler_base.items()}
-            self._eval_unrecorded(handler.type)
+            self.eval(handler.type)
             if handler.name:
                 self.env[handler.name] = set()  # ``as e`` rebinds, kills
             self.exec_body(handler.body)

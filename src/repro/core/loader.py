@@ -13,10 +13,22 @@ system is maintained by snapshot differentials:
    (the algorithm of Garcia-Molina & Labio [8]),
 3. the delta (inserts + deletes; an update is a delete-insert pair) is
    applied to the peer's MySQL database.
+
+A refresh costs about the size of the new snapshot plus the delta:
+
+- the loader keeps the fingerprints of each stored snapshot (an
+  ``array('I')``, 4 bytes a row, computed at the table's first refresh),
+  so a refresh hashes only the new snapshot;
+- ``repr`` breaks ties between equal fingerprints (the merge order is
+  ``(fingerprint, repr(row))``) but is computed only where two
+  fingerprints are equal, not for every row on every comparison;
+- one scan of the table maps every deleted row to its live row ids, and
+  every victim is resolved before the first delete.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -24,6 +36,7 @@ from repro.core.fingerprint import fingerprint_tuple
 from repro.core.schema_mapping import SchemaMapping
 from repro.errors import SchemaMappingError
 from repro.sqlengine.database import Database
+from repro.sqlengine.table import Table
 
 
 @dataclass
@@ -52,38 +65,88 @@ def snapshot_diff(
     reduced to its Rabin fingerprint, both sides are sorted by fingerprint,
     and one merge pass emits the rows present on only one side.  Duplicate
     tuples are handled by multiplicity (two copies vs. one copy = one
-    change).
+    change).  Both lists come out in ``(fingerprint, repr(row))`` order.
     """
-    old_sorted = sorted(
-        ((fingerprint_tuple(row), row) for row in old_rows), key=_merge_key
+    return _diff_fingerprinted(
+        old_rows,
+        _fingerprint_rows(old_rows),
+        new_rows,
+        _fingerprint_rows(new_rows),
     )
-    new_sorted = sorted(
-        ((fingerprint_tuple(row), row) for row in new_rows), key=_merge_key
-    )
+
+
+def _fingerprint_rows(rows: Sequence[tuple]) -> array:
+    """The Rabin fingerprint of every row, aligned with ``rows``."""
+    return array("I", [fingerprint_tuple(row) for row in rows])
+
+
+def _diff_fingerprinted(
+    old_rows: Sequence[tuple],
+    old_fps: Sequence[int],
+    new_rows: Sequence[tuple],
+    new_fps: Sequence[int],
+) -> Tuple[List[tuple], List[tuple]]:
+    """:func:`snapshot_diff` over fingerprints computed by the caller.
+
+    The fingerprint orders the merge; ``repr`` breaks ties, so the merge
+    never misclassifies two different tuples with equal fingerprints.  It
+    is computed only where two fingerprints are equal: within a run of
+    equal fingerprints on one side while sorting, and across the sides
+    while merging.
+    """
+    old_order = _merge_order(old_rows, old_fps)
+    new_order = _merge_order(new_rows, new_fps)
     inserted: List[tuple] = []
     deleted: List[tuple] = []
     i = j = 0
-    while i < len(old_sorted) and j < len(new_sorted):
-        old_key = _merge_key(old_sorted[i])
-        new_key = _merge_key(new_sorted[j])
-        if old_key == new_key:
-            i += 1
-            j += 1
-        elif old_key < new_key:
-            deleted.append(old_sorted[i][1])
+    while i < len(old_order) and j < len(new_order):
+        old_row = old_rows[old_order[i]]
+        new_row = new_rows[new_order[j]]
+        old_fp = old_fps[old_order[i]]
+        new_fp = new_fps[new_order[j]]
+        if old_fp == new_fp:
+            old_repr = repr(old_row)
+            new_repr = repr(new_row)
+            if old_repr == new_repr:
+                i += 1
+                j += 1
+                continue
+            old_first = old_repr < new_repr
+        else:
+            old_first = old_fp < new_fp
+        if old_first:
+            deleted.append(old_row)
             i += 1
         else:
-            inserted.append(new_sorted[j][1])
+            inserted.append(new_row)
             j += 1
-    deleted.extend(row for _, row in old_sorted[i:])
-    inserted.extend(row for _, row in new_sorted[j:])
+    deleted.extend(old_rows[position] for position in old_order[i:])
+    inserted.extend(new_rows[position] for position in new_order[j:])
     return inserted, deleted
 
 
-def _merge_key(entry: Tuple[int, tuple]) -> Tuple[int, str]:
-    # The fingerprint orders the merge; repr breaks (rare) collisions so the
-    # merge never misclassifies two different tuples with equal fingerprints.
-    return entry[0], repr(entry[1])
+def _merge_order(rows: Sequence[tuple], fps: Sequence[int]) -> List[int]:
+    """Positions of ``rows`` in ``(fingerprint, repr(row))`` order.
+
+    A stable sort by fingerprint, then a stable re-sort by ``repr`` inside
+    each run of equal fingerprints: the same order as one stable sort on
+    the pair, with ``repr`` computed only for rows that share a fingerprint.
+    """
+    order = sorted(range(len(rows)), key=fps.__getitem__)
+    if len(set(fps)) == len(fps):
+        return order
+    start = 0
+    while start < len(order):
+        fp = fps[order[start]]
+        end = start + 1
+        while end < len(order) and fps[order[end]] == fp:
+            end += 1
+        if end - start > 1:
+            order[start:end] = sorted(
+                order[start:end], key=lambda position: repr(rows[position])
+            )
+        start = end
+    return order
 
 
 class DataLoader:
@@ -95,6 +158,11 @@ class DataLoader:
         # The snapshot store ("also stored in the normal peer instance but
         # in a separate database"): global table -> last extracted rows.
         self._snapshots: Dict[str, List[tuple]] = {}
+        # Fingerprints of the stored snapshots, aligned with their rows
+        # (4 bytes a row).  Filled lazily at a table's first refresh, so an
+        # initial load hashes nothing and a refresh hashes only its new
+        # snapshot.
+        self._fingerprints: Dict[str, array] = {}
 
     # ------------------------------------------------------------------
     # Initial extraction
@@ -114,7 +182,7 @@ class DataLoader:
                 f"{global_table!r} already loaded; use refresh()"
             )
         self.database.table(global_table).insert_many(transformed)
-        self._snapshots[global_table] = list(transformed)
+        self._snapshots[global_table] = transformed
         return SnapshotDelta(global_table, inserted=list(transformed))
 
     # ------------------------------------------------------------------
@@ -126,7 +194,13 @@ class DataLoader:
         local_columns: Sequence[str],
         rows: Sequence[Sequence[object]],
     ) -> SnapshotDelta:
-        """Re-extract a table and apply only the changes."""
+        """Re-extract a table and apply only the changes.
+
+        Every row the delta deletes is resolved to a live row id before any
+        is deleted, so a delta that cannot be applied raises
+        :class:`SchemaMappingError` and leaves the table and the snapshot
+        store as they were.
+        """
         global_table, transformed = self.mapping.transform(
             local_table, local_columns, rows
         )
@@ -135,27 +209,20 @@ class DataLoader:
             raise SchemaMappingError(
                 f"{global_table!r} was never loaded; use initial_load()"
             )
-        inserted, deleted = snapshot_diff(old_snapshot, transformed)
+        old_fps = self._fingerprints.get(global_table)
+        if old_fps is None:
+            old_fps = _fingerprint_rows(old_snapshot)
+            self._fingerprints[global_table] = old_fps
+        new_fps = _fingerprint_rows(transformed)
+        inserted, deleted = _diff_fingerprinted(
+            old_snapshot, old_fps, transformed, new_fps
+        )
         table = self.database.table(global_table)
-        for row in deleted:
-            # Delete exactly one occurrence (duplicates are legal in tables
-            # without a primary key and the delta counts multiplicity).
-            victim = next(
-                (
-                    row_id
-                    for row_id in table.row_ids()
-                    if table.row_by_id(row_id) == row
-                ),
-                None,
-            )
-            if victim is None:
-                raise SchemaMappingError(
-                    f"snapshot delta wants to delete a missing row from "
-                    f"{global_table!r}: {row!r}"
-                )
-            table.delete_row(victim)
+        for row_id in _victims(table, deleted, global_table):
+            table.delete_row(row_id)
         table.insert_many(inserted)
-        self._snapshots[global_table] = list(transformed)
+        self._snapshots[global_table] = transformed
+        self._fingerprints[global_table] = new_fps
         return SnapshotDelta(global_table, inserted=inserted, deleted=deleted)
 
     def snapshot_of(self, global_table: str) -> Optional[List[tuple]]:
@@ -172,3 +239,36 @@ class DataLoader:
         self._snapshots = {
             table: list(rows) for table, rows in snapshots.items()
         }
+        self._fingerprints = {}
+
+
+def _victims(
+    table: Table, deleted: Sequence[tuple], global_table: str
+) -> List[int]:
+    """The live row id each deleted row removes, in ``deleted`` order.
+
+    Each deleted row takes the first live occurrence of an equal row in
+    row-id order that no earlier deleted row took (duplicates are legal in
+    tables without a primary key and the delta counts multiplicity).  One
+    scan of the table maps every deleted row to its live occurrences.
+    """
+    if not deleted:
+        return []
+    occurrences: Dict[tuple, List[int]] = {row: [] for row in deleted}
+    for row_id, row in zip(table.row_ids(), table.rows()):
+        ids = occurrences.get(row)
+        if ids is not None:
+            ids.append(row_id)
+    taken: Dict[tuple, int] = {}
+    victims: List[int] = []
+    for row in deleted:
+        ids = occurrences[row]
+        count = taken.get(row, 0)
+        if count == len(ids):
+            raise SchemaMappingError(
+                f"snapshot delta wants to delete a missing row from "
+                f"{global_table!r}: {row!r}"
+            )
+        victims.append(ids[count])
+        taken[row] = count + 1
+    return victims

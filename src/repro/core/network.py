@@ -329,13 +329,13 @@ class BestPeerNetwork:
         return histogram
 
     def _accumulate_statistics(self, peer: NormalPeer, table: str) -> None:
-        table_stats = peer.database.table_stats(table)
+        stored = peer.database.table(table)
         entry = self.statistics.get(table)
         if entry is None:
             entry = TableStatistics(table, 0.0, 0)
             self.statistics[table] = entry
-        entry.total_bytes += table_stats.byte_size
-        entry.row_count += table_stats.row_count
+        entry.total_bytes += stored.byte_size
+        entry.row_count += len(stored)
 
     # ------------------------------------------------------------------
     # Users and roles

@@ -37,6 +37,7 @@ from repro.sim.cloud import CloudProvider, Instance, InstanceState
 from repro.sim.compute import ComputeModel, DEFAULT_COMPUTE_MODEL
 from repro.sqlengine.database import Database, PreparedSelect, QueryResult
 from repro.sqlengine.schema import TableSchema
+from repro.sqlengine.stats import column_bounds
 
 
 @dataclass
@@ -254,7 +255,6 @@ class NormalPeer:
             if policy is not None and not policy.admits_table(len(table)):
                 continue  # partial indexing: small tables stay unindexed
             hops += indexer.publish_table(table_name, self.peer_id)
-            stats = self.database.table_stats(table_name)
             for column in table.schema.column_names:
                 if policy is not None and not policy.admits_column(column):
                     continue
@@ -262,13 +262,9 @@ class NormalPeer:
                     column, self.peer_id, [table_name]
                 )
             for column in range_columns.get(table_name, []):
-                column_stats = stats.columns[column.lower()]
+                minimum, maximum = column_bounds(table, column)
                 hops += indexer.publish_range(
-                    table_name,
-                    column,
-                    column_stats.minimum,
-                    column_stats.maximum,
-                    self.peer_id,
+                    table_name, column, minimum, maximum, self.peer_id
                 )
         return hops
 

@@ -8,7 +8,7 @@ distinct-value estimates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from repro.sqlengine.table import Table
 
@@ -75,3 +75,22 @@ def collect_table_stats(table: Table) -> TableStats:
         byte_size=table.byte_size,
         columns=columns,
     )
+
+
+def column_bounds(
+    table: Table, column: str
+) -> Tuple[Optional[object], Optional[object]]:
+    """``(minimum, maximum)`` of one column, as :func:`collect_table_stats`
+    reports them (NULLs skipped; the first of equal extremes wins), without
+    scanning the other columns."""
+    position = table.schema.column_index(column)
+    minimum = maximum = None
+    for row in table.rows():
+        value = row[position]
+        if value is None:
+            continue
+        if minimum is None or value < minimum:
+            minimum = value
+        if maximum is None or value > maximum:
+            maximum = value
+    return minimum, maximum

@@ -153,6 +153,38 @@ class TestIntrinsics:
             "proj.mod:<globals>",
         )
 
+    def test_calls_inside_store_delete_and_handler_targets(self, graph_of):
+        inference = infer(graph_of, {
+            "proj/mod.py": """
+                import time
+
+                class Store:
+                    def put(self, holder, key, value):
+                        self.data.setdefault(holder, {})[key] = value
+
+                    def drop(self, holder, key):
+                        del self.data.setdefault(holder, {})[key]
+
+                def stamp(rows):
+                    rows[int(time.time())] = 1
+
+                def handled_by(stamp):
+                    return ValueError
+
+                def guarded(work):
+                    try:
+                        return work()
+                    except handled_by(time.time()):
+                        return None
+            """,
+        })
+        for method in ("put", "drop"):
+            assert sig(inference, f"proj.mod.Store.{method}").mutates == (
+                "proj.mod:Store",
+            )
+        assert sig(inference, "proj.mod.stamp").wallclock
+        assert sig(inference, "proj.mod.guarded").wallclock
+
 
 class TestPropagation:
     def test_effects_flow_up_call_chains(self, graph_of):

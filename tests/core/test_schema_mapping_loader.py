@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.fingerprint import fingerprint_tuple
 from repro.core.loader import DataLoader, SnapshotDelta, snapshot_diff
 from repro.core.schema_mapping import (
     MappingTemplate,
@@ -204,3 +205,31 @@ class TestDataLoader:
         loader.refresh("kunden", columns, [(1, "A-renamed", "DE")])
         names = loader.database.execute("SELECT c_name FROM customer")
         assert names.column("c_name") == ["A-renamed"]
+
+    def test_failed_refresh_leaves_no_partial_delete(self, loader):
+        columns = ["knr", "kname", "land"]
+        loader.initial_load(
+            "kunden", columns, [(key, f"N{key}", "DE") for key in range(1, 8)]
+        )
+        table = loader.database.table("customer")
+        # The refresh drops customers 2, 4 and 6.  Remove, behind the
+        # loader's back, the one the delta deletes last, so the earlier
+        # victims resolve before the missing one is found.
+        dropped = [(key, f"N{key}", "GERMANY") for key in (2, 4, 6)]
+        last = max(
+            dropped, key=lambda row: (fingerprint_tuple(row), repr(row))
+        )
+        table.delete_where(lambda row: row == last)
+        rows_before = list(zip(table.row_ids(), table.rows()))
+        version_before = table.version
+        snapshot_before = loader.snapshot_of("customer")
+
+        with pytest.raises(SchemaMappingError, match="missing row"):
+            loader.refresh(
+                "kunden",
+                columns,
+                [(key, f"N{key}", "DE") for key in (1, 3, 5, 7, 8)],
+            )
+        assert list(zip(table.row_ids(), table.rows())) == rows_before
+        assert table.version == version_before
+        assert loader.snapshot_of("customer") == snapshot_before
